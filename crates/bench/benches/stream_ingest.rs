@@ -6,8 +6,8 @@
 //! - `push_unlabelled` — the pure hot path: ring insert + estimate
 //!   refresh against the current model snapshot, no learning;
 //! - `push_labelled` — the same plus the O(k²) recursive least-squares
-//!   update on the online linear model (refits are pushed far out of
-//!   range so no background thread pollutes the measurement);
+//!   update on the online linear model (no publish hook is installed,
+//!   so every 256th window's publication only bumps a counter);
 //! - `poll` — status snapshot of a warm stream, the read the serving
 //!   layer performs per `STREAM POLL`;
 //! - `open_close` — stream lifecycle churn: shard insert, state
@@ -17,15 +17,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pmca_stream::{synthetic_window, StreamHub, StreamHubConfig};
 use std::hint::black_box;
 
-fn hub(refit_every: usize) -> StreamHub {
-    StreamHub::new(StreamHubConfig::default().refit_every(refit_every))
+fn hub() -> StreamHub {
+    StreamHub::new(StreamHubConfig::default())
 }
 
 fn bench_push(c: &mut Criterion) {
     let mut g = c.benchmark_group("stream_push");
-    // Refits far out of reach: the labelled bench measures the RLS
-    // update alone, not a background refit racing the timer.
-    let hub = hub(usize::MAX);
+    let hub = hub();
     hub.open("bench-unlabelled", "dgemm:8000", "haswell", 64)
         .expect("open");
     hub.open("bench-labelled", "dgemm:8000", "haswell", 64)
@@ -56,7 +54,7 @@ fn bench_push(c: &mut Criterion) {
 }
 
 fn bench_poll(c: &mut Criterion) {
-    let hub = hub(usize::MAX);
+    let hub = hub();
     hub.open("bench-poll", "dgemm:8000", "haswell", 64)
         .expect("open");
     for w in 0..64u64 {
@@ -72,7 +70,7 @@ fn bench_poll(c: &mut Criterion) {
 }
 
 fn bench_open_close(c: &mut Criterion) {
-    let hub = hub(usize::MAX);
+    let hub = hub();
     let mut g = c.benchmark_group("stream_lifecycle");
     g.bench_function("open_close", |b| {
         b.iter(|| {

@@ -34,12 +34,11 @@
 //! `--streams N` switches to streaming-ingestion mode: the clients open
 //! N concurrent telemetry streams, push `--windows` one-second windows
 //! into each (every `--label-every`'th labelled with measured joules, so
-//! the online model refits and periodic heavy refits fire), and measure
-//! ingest throughput in windows/sec plus per-window estimate latency as
-//! individually timed `STREAM POLL` round trips (p50/p95/p99). The
-//! summary also reports the server's completed refit-swap count —
-//! proof the background forest/neural refits ran without stalling the
-//! hot path.
+//! the online model refits and every 256th label publishes it), and
+//! measure ingest throughput in windows/sec plus per-window estimate
+//! latency as individually timed `STREAM POLL` round trips
+//! (p50/p95/p99). The summary also reports how many online models the
+//! server published into its registry.
 //!
 //! `--tier f64|fixed|both` picks the inference tier the estimate
 //! requests ask for (`tier=fixed` runs the integer fixed-point fast
@@ -806,7 +805,7 @@ fn run_streams(options: &Options) {
         percentile(99.0),
         poll_latencies[polls - 1]
     );
-    println!("background refit swaps completed server-side: {refit_swaps}");
+    println!("online model publications server-side (cadence + drift): {refit_swaps}");
     let summary = StreamSummary {
         streams,
         clients,

@@ -88,8 +88,9 @@ usage:
       drive one telemetry stream against a running server: STREAM OPEN,
       push --windows one-second windows of deployable-set PMC counts
       (every --label-every'th window labelled with measured joules so the
-      online model refits), then poll the live energy/power estimate and
-      close; ID defaults to cli-stream
+      online linear model learns; every 256th label on a platform, and
+      entering drifting, publish it for ESTIMATE), then poll the live
+      energy/power estimate and close; ID defaults to cli-stream
 
   slope-pmc monitor [--addr HOST:PORT] [--interval-ms MS] [--iterations N]
                     [--health]

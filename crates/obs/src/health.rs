@@ -16,8 +16,8 @@
 //!   crossing the configured thresholds walks the
 //!   [`HealthState`] machine `Ok → Degraded → Drifting` (and back down
 //!   as the scores recover); every transition is returned to the caller
-//!   so serving layers can emit flight-recorder events or trigger
-//!   refits.
+//!   so serving layers can emit flight-recorder events and refit the
+//!   model on entering drifting.
 //! - Per-counter **additivity-violation rates**
 //!   ([`HealthRegistry::observe_additivity`]): the paper's equation-1
 //!   compound-vs-sum error, checked online, folded into a violation
@@ -42,7 +42,7 @@ pub enum HealthState {
     /// Drift scores past the degraded threshold: accuracy is slipping.
     Degraded,
     /// Drift scores past the drifting threshold: the model no longer
-    /// matches the stream and should be refit.
+    /// matches the stream; the stream hub refits it on entry.
     Drifting,
 }
 
@@ -104,7 +104,7 @@ impl Default for HealthConfig {
 }
 
 /// A state change returned by [`HealthRegistry::observe`], for callers
-/// that emit flight-recorder events or trigger refits.
+/// that emit flight-recorder events or refit on entering drifting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthTransition {
     /// Platform whose tracker changed state.

@@ -388,6 +388,7 @@ impl Dispatcher {
                     total.workers += stats.workers;
                     total.streams += stats.streams;
                     total.stream_refits += stats.stream_refits;
+                    total.stream_drift_refits += stats.stream_drift_refits;
                 }
                 ok_stats(&total)
             }

@@ -23,9 +23,9 @@
 //!   of PMC counts (optionally labelled with measured joules), and
 //!   `STREAM POLL` live energy/power estimates with 95 % prediction
 //!   intervals; labelled windows refit the online linear model via
-//!   recursive least squares, and periodic heavy refits retrain the
-//!   forest/neural families off the hot path, swapping them into the
-//!   versioned registry atomically.
+//!   recursive least squares, which the hub publishes into the
+//!   versioned registry every 256 labels and on entering drifting, so
+//!   `ESTIMATE` answers from the stream-learned coefficients.
 //!
 //! Everything is `std`-only — threads and channels, no external runtime.
 //! Observability comes from the sibling `pmca-obs` crate: aggregate

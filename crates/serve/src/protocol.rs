@@ -948,7 +948,8 @@ pub fn ok_estimate_into(estimate: &Estimate, out: &mut String) {
 pub fn ok_stats(stats: &ServiceStats) -> String {
     format!(
         "OK served={} errors={} cache-hits={} cache-misses={} cache-evictions={} \
-         cache-entries={} models={} workers={} streams={} stream-refits={}",
+         cache-entries={} models={} workers={} streams={} stream-refits={} \
+         stream-drift-refits={}",
         stats.served,
         stats.errors,
         stats.cache_hits,
@@ -958,7 +959,8 @@ pub fn ok_stats(stats: &ServiceStats) -> String {
         stats.models,
         stats.workers,
         stats.streams,
-        stats.stream_refits
+        stats.stream_refits,
+        stats.stream_drift_refits
     )
 }
 
@@ -1857,15 +1859,17 @@ mod tests {
             workers: 4,
             streams: 12,
             stream_refits: 2,
+            stream_drift_refits: 1,
         };
         let reply = ok_stats(&stats);
         let fields = parse_ok_fields(&reply).unwrap();
-        assert_eq!(fields.len(), 10);
+        assert_eq!(fields.len(), 11);
         assert!(fields.contains(&("served", "10")));
         assert!(fields.contains(&("cache-hits", "5")));
         assert!(fields.contains(&("cache-evictions", "0")));
         assert!(fields.contains(&("streams", "12")));
         assert!(fields.contains(&("stream-refits", "2")));
+        assert!(fields.contains(&("stream-drift-refits", "1")));
     }
 
     #[test]

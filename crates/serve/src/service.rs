@@ -23,7 +23,9 @@ use pmca_obs::{
 };
 use pmca_pmctools::collector::collect_all;
 use pmca_powermeter::{HclWattsUp, Methodology};
-use pmca_stream::{PushReply, StreamError, StreamHub, StreamHubConfig, StreamStatus};
+use pmca_stream::{
+    ModelSnapshot, PushReply, StreamError, StreamHub, StreamHubConfig, StreamStatus,
+};
 use pmca_workloads::parse::app_from_spec;
 use std::collections::HashMap;
 use std::error::Error;
@@ -222,8 +224,11 @@ pub struct ServiceStats {
     pub workers: usize,
     /// Telemetry streams currently open.
     pub streams: usize,
-    /// Completed background stream refit/swap cycles.
+    /// Stream-learned online models published into the store, on the
+    /// labelled-window cadence or on entering drifting.
     pub stream_refits: u64,
+    /// The subset of `stream_refits` made on entering drifting.
+    pub stream_drift_refits: u64,
 }
 
 /// Configuration for an [`EnergyService`], replacing the old positional
@@ -255,7 +260,6 @@ pub struct ServiceConfig {
     trace_slow_ms: Option<u64>,
     trace_log: Option<PathBuf>,
     streams: bool,
-    stream_refit_every: usize,
     stream_idle_ttl_secs: u64,
     transport: Transport,
     event_loops: usize,
@@ -268,12 +272,12 @@ impl Default for ServiceConfig {
     /// Four workers, a 256-run cache, seed 1, no registry directory,
     /// metrics exported to the process-global registry, tracing on with
     /// a 64-trace flight recorder (no slow threshold, no JSONL sink),
-    /// streaming enabled with a heavy refit every 256 labelled windows
-    /// and a 5-minute idle TTL, threaded transport (with 4 event loops
-    /// once switched to [`Transport::Evented`]), the model-health plane
-    /// on with a 32-snapshot metrics history, and the fixed-point fast
-    /// tier enabled (requests still default to the f64 tier; `fast_tier`
-    /// only governs whether `tier=fixed` requests are honoured).
+    /// streaming enabled with a 5-minute idle TTL, threaded transport
+    /// (with 4 event loops once switched to [`Transport::Evented`]), the
+    /// model-health plane on with a 32-snapshot metrics history, and the
+    /// fixed-point fast tier enabled (requests still default to the f64
+    /// tier; `fast_tier` only governs whether `tier=fixed` requests are
+    /// honoured).
     fn default() -> Self {
         ServiceConfig {
             workers: 4,
@@ -286,7 +290,6 @@ impl Default for ServiceConfig {
             trace_slow_ms: None,
             trace_log: None,
             streams: true,
-            stream_refit_every: 256,
             stream_idle_ttl_secs: 300,
             transport: Transport::Threaded,
             event_loops: 4,
@@ -365,14 +368,6 @@ impl ServiceConfig {
     /// With `false` every `STREAM` command answers an error.
     pub fn streams(mut self, enabled: bool) -> Self {
         self.streams = enabled;
-        self
-    }
-
-    /// Labelled stream windows between heavy background refits of the
-    /// forest/neural families (default 256). Lower it to exercise the
-    /// refit/swap path quickly in benches and smoke tests.
-    pub fn stream_refit_every(mut self, every: usize) -> Self {
-        self.stream_refit_every = every.max(1);
         self
     }
 
@@ -534,31 +529,28 @@ impl ServiceConfig {
             Arc::new(HealthRegistry::disabled())
         };
         let streams = if self.streams {
-            let hub_config = StreamHubConfig::default()
-                .refit_every(self.stream_refit_every)
-                .idle_ttl(Duration::from_secs(self.stream_idle_ttl_secs));
+            let hub_config =
+                StreamHubConfig::default().idle_ttl(Duration::from_secs(self.stream_idle_ttl_secs));
             let hub = Arc::new(StreamHub::with_registry(hub_config, &metrics_registry));
             hub.set_health(Arc::clone(&health));
-            // Refit swaps go through the same versioned store as TRAIN,
-            // so ESTIMATE requests pick up stream-refreshed models too.
-            let store_for_swap = Arc::clone(&store);
-            hub.set_swap(Arc::new(
-                move |platform: &str,
-                      family: &str,
-                      feature_order: Vec<String>,
-                      residual_std: f64,
-                      training_rows: usize,
-                      params: ModelParams| {
-                    store_for_swap.put(
-                        platform,
-                        family,
-                        feature_order,
-                        residual_std,
-                        training_rows,
-                        params,
-                    );
-                },
-            ));
+            // The hub's online model goes through the same versioned
+            // store as TRAIN, so ESTIMATE answers from stream-learned
+            // coefficients too.
+            let store = Arc::clone(&store);
+            let feature_order = hub.config().feature_order().to_vec();
+            hub.set_publish(Arc::new(move |platform: &str, snapshot: &ModelSnapshot| {
+                store.put(
+                    platform,
+                    "online",
+                    feature_order.clone(),
+                    snapshot.residual_std,
+                    snapshot.training_rows,
+                    ModelParams::Linear {
+                        coefficients: snapshot.coefficients.clone(),
+                        intercept: 0.0,
+                    },
+                );
+            }));
             hub.set_tracer(Arc::clone(&tracer));
             Some(hub)
         } else {
@@ -637,9 +629,9 @@ pub struct EnergyService {
     metrics: ServeMetrics,
     metrics_registry: Arc<MetricsRegistry>,
     tracer: Arc<Tracer>,
-    /// Telemetry-stream hub, `None` when streaming is disabled. Model
-    /// swaps from its refit thread land in `store` via the swap
-    /// callback installed at build time.
+    /// Telemetry-stream hub, `None` when streaming is disabled. Its
+    /// online models land in `store` via the publish hook installed at
+    /// build time.
     streams: Option<Arc<StreamHub>>,
     /// Per-model shared event list for [`RunKey`]s, keyed by the model
     /// `Arc`'s address (the held `Arc` keeps the address valid). Building
@@ -1271,7 +1263,8 @@ impl EnergyService {
             models,
             workers: self.engine.workers(),
             streams: self.streams.as_ref().map_or(0, |hub| hub.open_streams()),
-            stream_refits: self.streams.as_ref().map_or(0, |hub| hub.refit_swaps()),
+            stream_refits: self.streams.as_ref().map_or(0, |hub| hub.publications()),
+            stream_drift_refits: self.streams.as_ref().map_or(0, |hub| hub.drift_refits()),
         }
     }
 

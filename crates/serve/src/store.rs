@@ -55,7 +55,7 @@ impl RegistrySnapshot {
 ///
 /// All methods take `&self`: implementations are internally synchronized
 /// and shared as `Arc<dyn ModelStore>` across connection handlers, event
-/// loops, and the stream hub's refit thread.
+/// loops, and the stream hub's publication hook.
 pub trait ModelStore: Send + Sync + fmt::Debug {
     /// Store a model, assigning the next version for its key; returns
     /// the stored entry.

@@ -1,5 +1,5 @@
 //! The stream hub: every open stream, the per-platform online models,
-//! and the background refit/swap machinery.
+//! and their publication into the serving store.
 //!
 //! Lock layout, in acquisition order:
 //!
@@ -10,20 +10,19 @@
 //! 3. `snapshots` (read-mostly `RwLock`) — what polls read; writes are a
 //!    single `Arc` insert.
 //!
-//! A poll therefore touches one shard mutex and a snapshot read lock and
-//! never waits on model fitting: the heavy random-forest / neural-network
-//! refits run on a detached background thread against a *copy* of the
-//! training buffer, publish through the installed [`SwapFn`] (the serving
-//! registry's versioned double-buffer), and are serialised per platform by
-//! a compare-and-swap flag — a refit that would overlap a running one is
-//! simply skipped until the next trigger.
+//! A poll therefore touches one shard mutex and a snapshot read lock. The
+//! only model the hub fits is the platform's linear online model: every
+//! [`PUBLISH_EVERY`]-th labelled window, and on every entry into the
+//! drifting health state, its snapshot is handed to the installed
+//! [`PublishFn`] (the serving registry's versioned store) after the
+//! `online` lock is released. Entering drifting first refits that model
+//! from the windows labelled since the platform last left `ok`, so the
+//! served coefficients follow the new regime instead of its whole history.
 
 use crate::window::{PushOutcome, WindowSample, WindowState};
 use pmca_additivity::AdditivityTest;
-use pmca_mlkit::export::ModelParams;
-use pmca_mlkit::model::Regressor;
-use pmca_mlkit::{NeuralNet, RandomForest, RecursiveLeastSquares};
-use pmca_obs::{trace, Counter, Gauge, HealthRegistry, HealthState, HealthTransition};
+use pmca_mlkit::RecursiveLeastSquares;
+use pmca_obs::{Counter, Gauge, HealthRegistry, HealthState, HealthTransition};
 use pmca_obs::{Histogram, MetricsRegistry, Tracer};
 use pmca_simd::Isa;
 use pmca_stats::confidence::t_critical;
@@ -31,14 +30,20 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Each pushed window covers one second of telemetry by convention, so a
 /// predicted joules-per-window divided by this is a power in watts.
 pub const WINDOW_SECONDS: f64 = 1.0;
+
+/// Labelled windows per platform between cadence publications of its
+/// online model into the serving store.
+pub const PUBLISH_EVERY: u64 = 256;
+
+/// Labelled windows per platform retained for a drift refit.
+const TRAIN_BUFFER: usize = 1_024;
 
 /// The paper's deployable 4-PMC set — the default feature order streams
 /// push counts in.
@@ -80,11 +85,10 @@ impl fmt::Display for StreamError {
 
 impl Error for StreamError {}
 
-/// Callback through which background refits publish models into the
-/// serving registry's versioned store:
-/// `(platform, family, feature_order, residual_std, training_rows,
-/// params)` — the same shape as `Registry::register`.
-pub type SwapFn = dyn Fn(&str, &str, Vec<String>, f64, usize, ModelParams) + Send + Sync;
+/// Callback through which the hub publishes a platform's online model
+/// into the serving registry's versioned store: `(platform, snapshot)`,
+/// the snapshot's coefficients in the configured feature order.
+pub type PublishFn = dyn Fn(&str, &ModelSnapshot) + Send + Sync;
 
 /// Configuration for a [`StreamHub`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,26 +96,18 @@ pub struct StreamHubConfig {
     shards: usize,
     max_streams: usize,
     idle_ttl: Duration,
-    refit_every: usize,
-    train_buffer: usize,
     pmc_names: Vec<String>,
-    refit_on_drift: bool,
 }
 
 impl Default for StreamHubConfig {
-    /// 16 shards, 65 536 streams, 5-minute idle eviction, a heavy refit
-    /// every 256 labelled windows over a 1 024-row training buffer, the
-    /// paper's deployable 4-PMC feature order, and a forced refit when
-    /// the health plane flags a platform as drifting.
+    /// 16 shards, 65 536 streams, 5-minute idle eviction, and the
+    /// paper's deployable 4-PMC feature order.
     fn default() -> Self {
         StreamHubConfig {
             shards: 16,
             max_streams: 65_536,
             idle_ttl: Duration::from_secs(300),
-            refit_every: 256,
-            train_buffer: 1_024,
             pmc_names: DEFAULT_PMC_SET.iter().map(|s| s.to_string()).collect(),
-            refit_on_drift: true,
         }
     }
 }
@@ -135,30 +131,10 @@ impl StreamHubConfig {
         self
     }
 
-    /// Labelled windows between heavy background refits (≥ 1; default 256).
-    pub fn refit_every(mut self, every: usize) -> Self {
-        self.refit_every = every.max(1);
-        self
-    }
-
-    /// Labelled windows retained as the refit training buffer
-    /// (≥ 1; default 1 024).
-    pub fn train_buffer(mut self, rows: usize) -> Self {
-        self.train_buffer = rows.max(1);
-        self
-    }
-
     /// Feature order pushed counts follow (default the paper's 4-PMC set).
     pub fn pmc_names(mut self, names: Vec<String>) -> Self {
         assert!(!names.is_empty(), "streams need at least one PMC feature");
         self.pmc_names = names;
-        self
-    }
-
-    /// Whether a platform entering the drifting health state forces a
-    /// detached heavy refit (default true).
-    pub fn refit_on_drift(mut self, refit: bool) -> Self {
-        self.refit_on_drift = refit;
         self
     }
 
@@ -275,12 +251,21 @@ pub struct StreamStatus {
 /// Per-platform online-update state.
 struct PlatformOnline {
     rls: RecursiveLeastSquares,
-    /// Most recent labelled windows, the heavy refit's training set.
+    /// Most recent labelled windows, the drift refit's training set.
     buffer: VecDeque<(Vec<f64>, f64)>,
-    /// Labelled windows since the last heavy refit was triggered.
-    since_refit: usize,
-    /// Set while a background refit for this platform is in flight.
-    refit_running: Arc<AtomicBool>,
+    /// Labelled windows over the platform's lifetime.
+    labelled: u64,
+    /// Labelled windows since the platform's health last left `ok`.
+    since_ok: usize,
+}
+
+/// Why the hub published a platform's online model into the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Publication {
+    /// The platform's [`PUBLISH_EVERY`]-th labelled window.
+    Cadence,
+    /// The platform entered the drifting health state.
+    Drift,
 }
 
 /// One open stream.
@@ -298,7 +283,8 @@ struct StreamMetrics {
     accepted: Counter,
     duplicates: Counter,
     late: Counter,
-    refits: Counter,
+    cadence_refits: Counter,
+    drift_refits: Counter,
     evicted: Counter,
     /// Out-of-order arrival lag. Recorded as `lag` seconds so the
     /// rendered (seconds-valued) quantiles read directly in windows.
@@ -326,7 +312,8 @@ impl StreamMetrics {
             accepted: windows("accepted"),
             duplicates: windows("duplicate"),
             late: windows("late"),
-            refits: registry.counter("pmca_stream_refits_total", &[]),
+            cadence_refits: registry.counter("pmca_stream_refits_total", &[("reason", "cadence")]),
+            drift_refits: registry.counter("pmca_stream_refits_total", &[("reason", "drift")]),
             evicted: registry.counter("pmca_stream_evicted_total", &[]),
             lag: registry.histogram("pmca_stream_window_lag_windows", &[]),
         }
@@ -334,21 +321,21 @@ impl StreamMetrics {
 }
 
 /// The shared registry of open streams. See the module docs for the
-/// locking and refit design.
+/// locking and publication design.
 pub struct StreamHub {
     config: StreamHubConfig,
     shards: Vec<Mutex<HashMap<String, StreamEntry>>>,
     online: Mutex<HashMap<String, PlatformOnline>>,
     snapshots: RwLock<HashMap<String, Arc<ModelSnapshot>>>,
-    swap: RwLock<Option<Arc<SwapFn>>>,
+    publish: RwLock<Option<Arc<PublishFn>>>,
     tracer: RwLock<Option<Arc<Tracer>>>,
     health: RwLock<Option<Arc<HealthRegistry>>>,
     /// Rolling per-`(platform, app)` counter means, the base side of the
     /// online compound-vs-sum additivity checks.
     additivity_means: Mutex<HashMap<(String, String), CounterMeans>>,
     open_count: AtomicUsize,
-    refit_seed: AtomicU64,
-    refit_swaps: Arc<AtomicU64>,
+    publications: AtomicU64,
+    drift_refits: AtomicU64,
     metrics: StreamMetrics,
 }
 
@@ -372,7 +359,7 @@ impl fmt::Debug for StreamHub {
         f.debug_struct("StreamHub")
             .field("config", &self.config)
             .field("open_streams", &self.open_streams())
-            .field("refit_swaps", &self.refit_swaps())
+            .field("publications", &self.publications())
             .finish_non_exhaustive()
     }
 }
@@ -393,13 +380,13 @@ impl StreamHub {
             shards,
             online: Mutex::new(HashMap::new()),
             snapshots: RwLock::new(HashMap::new()),
-            swap: RwLock::new(None),
+            publish: RwLock::new(None),
             tracer: RwLock::new(None),
             health: RwLock::new(None),
             additivity_means: Mutex::new(HashMap::new()),
             open_count: AtomicUsize::new(0),
-            refit_seed: AtomicU64::new(1),
-            refit_swaps: Arc::new(AtomicU64::new(0)),
+            publications: AtomicU64::new(0),
+            drift_refits: AtomicU64::new(0),
             config,
         }
     }
@@ -409,14 +396,14 @@ impl StreamHub {
         &self.config
     }
 
-    /// Install the callback heavy refits publish models through
-    /// (typically the serving registry's `register`).
-    pub fn set_swap(&self, swap: Arc<SwapFn>) {
-        *self.swap.write().expect("swap poisoned") = Some(swap);
+    /// Install the callback online models are published through
+    /// (typically a put into the serving registry's store).
+    pub fn set_publish(&self, publish: Arc<PublishFn>) {
+        *self.publish.write().expect("publish poisoned") = Some(publish);
     }
 
-    /// Attach a tracer; background refits record `stream.refit` traces
-    /// (with the model-fit spans nested inside) into its flight recorder.
+    /// Attach a tracer; drift transitions record `health.drift` traces
+    /// into its flight recorder.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
         *self.tracer.write().expect("tracer poisoned") = Some(tracer);
     }
@@ -426,8 +413,8 @@ impl StreamHub {
     /// the measured label, *before* the online update so the residual
     /// is out of sample), and compound-app windows feed the per-counter
     /// additivity checks. Drift transitions record a `health.drift`
-    /// flight-recorder trace and — when the config allows — force a
-    /// detached heavy refit.
+    /// flight-recorder trace, and entering drifting refits and publishes
+    /// the platform's online model.
     pub fn set_health(&self, health: Arc<HealthRegistry>) {
         *self.health.write().expect("health poisoned") = Some(health);
     }
@@ -476,17 +463,14 @@ impl StreamHub {
         self.open_count.load(Ordering::Relaxed)
     }
 
-    /// Completed heavy refit/swap cycles.
-    pub fn refit_swaps(&self) -> u64 {
-        self.refit_swaps.load(Ordering::Relaxed)
+    /// Online models published so far, for either reason.
+    pub fn publications(&self) -> u64 {
+        self.publications.load(Ordering::Relaxed)
     }
 
-    /// Whether a heavy refit is currently running for `platform`.
-    pub fn refit_in_flight(&self, platform: &str) -> bool {
-        let online = self.online.lock().expect("online poisoned");
-        online
-            .get(&platform.to_ascii_lowercase())
-            .is_some_and(|entry| entry.refit_running.load(Ordering::Acquire))
+    /// Publications made on entering the drifting health state.
+    pub fn drift_refits(&self) -> u64 {
+        self.drift_refits.load(Ordering::Relaxed)
     }
 
     fn shard(&self, id: &str) -> &Mutex<HashMap<String, StreamEntry>> {
@@ -609,8 +593,14 @@ impl StreamHub {
                     // Calibration first: the residual against the
                     // *current* snapshot is out of sample only before
                     // the online update folds this window in.
-                    self.observe_calibration(&platform, counts, j);
-                    self.online_update(&platform, counts, j);
+                    let transition = self.observe_calibration(&platform, counts, j);
+                    if let Some(transition) = &transition {
+                        self.note_drift(transition);
+                    }
+                    let due = self.online_update(&platform, counts, j, transition.as_ref());
+                    if let Some((snapshot, reason)) = due {
+                        self.publish(&platform, &snapshot, reason);
+                    }
                 }
             }
             PushOutcome::Duplicate => self.metrics.duplicates.inc(),
@@ -739,29 +729,28 @@ impl StreamHub {
     }
 
     /// Feed one labelled window's out-of-sample residual into the
-    /// attached health registry, and react to any drift transition.
-    fn observe_calibration(&self, platform: &str, counts: &[f64], joules: f64) {
-        let Some(health) = self.health() else { return };
+    /// attached health registry; returns the drift transition it caused.
+    fn observe_calibration(
+        &self,
+        platform: &str,
+        counts: &[f64],
+        joules: f64,
+    ) -> Option<HealthTransition> {
+        let health = self.health()?;
         if !health.is_enabled() {
-            return;
+            return None;
         }
-        let Some(snapshot) = self.snapshot(platform) else {
-            return;
-        };
-        let transition = health.observe(
+        let snapshot = self.snapshot(platform)?;
+        health.observe(
             platform,
             snapshot.version,
             snapshot.predict(counts),
             snapshot.prediction_half_width(),
             joules,
-        );
-        if let Some(transition) = transition {
-            self.note_drift(&transition);
-        }
+        )
     }
 
-    /// A drift transition is worth a flight-recorder entry, and entering
-    /// the drifting state can force the detached refit path.
+    /// A drift transition is worth a flight-recorder entry.
     fn note_drift(&self, transition: &HealthTransition) {
         if let Some(tracer) = self.tracer.read().expect("tracer poisoned").clone() {
             if let Some(trace) = tracer.start(
@@ -776,42 +765,6 @@ impl StreamHub {
             ) {
                 tracer.finish(&trace);
             }
-        }
-        if self.config.refit_on_drift && transition.to == HealthState::Drifting {
-            self.force_refit(&transition.platform);
-        }
-    }
-
-    /// Trigger the detached heavy refit immediately (drift response),
-    /// subject to the same buffer floor and one-in-flight CAS as the
-    /// periodic trigger.
-    fn force_refit(&self, platform: &str) {
-        let width = self.config.pmc_names.len();
-        let mut refit: Option<RefitJob> = None;
-        {
-            let mut online = self.online.lock().expect("online poisoned");
-            if let Some(entry) = online.get_mut(platform) {
-                if entry.buffer.len() >= width.max(8)
-                    && entry
-                        .refit_running
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    entry.since_refit = 0;
-                    refit = Some(RefitJob {
-                        platform: platform.to_string(),
-                        x: entry.buffer.iter().map(|(row, _)| row.clone()).collect(),
-                        y: entry.buffer.iter().map(|(_, target)| *target).collect(),
-                        coefficients: entry.rls.coefficients().to_vec(),
-                        residual_std: entry.rls.residual_std(),
-                        rows: entry.rls.rows(),
-                        running: Arc::clone(&entry.refit_running),
-                    });
-                }
-            }
-        }
-        if let Some(job) = refit {
-            self.spawn_refit(job);
         }
     }
 
@@ -868,60 +821,63 @@ impl StreamHub {
     }
 
     /// Fold one labelled window into the platform's online model: an
-    /// O(width²) recursive-least-squares update, an immediate snapshot
-    /// publish, and — every `refit_every` labelled windows — a detached
-    /// heavy refit of the forest and neural families.
-    fn online_update(&self, platform: &str, counts: &[f64], joules: f64) {
+    /// O(width²) recursive-least-squares update and an immediate snapshot
+    /// publish. Returns the snapshot when it is also due in the serving
+    /// store: on entering drifting (after a refit from the windows since
+    /// the platform left `ok`), or on every [`PUBLISH_EVERY`]-th window.
+    fn online_update(
+        &self,
+        platform: &str,
+        counts: &[f64],
+        joules: f64,
+        transition: Option<&HealthTransition>,
+    ) -> Option<(Arc<ModelSnapshot>, Publication)> {
         let width = self.config.pmc_names.len();
-        let mut refit: Option<RefitJob> = None;
-        {
-            let mut online = self.online.lock().expect("online poisoned");
-            let entry = online
-                .entry(platform.to_string())
-                .or_insert_with(|| PlatformOnline {
-                    rls: RecursiveLeastSquares::paper_constrained(width),
-                    buffer: VecDeque::new(),
-                    since_refit: 0,
-                    refit_running: Arc::new(AtomicBool::new(false)),
-                });
-            entry.rls.observe(counts, joules);
-            // Rows > 0 after observe, so the refit cannot fail.
-            let _ = entry.rls.refit();
-            if entry.buffer.len() == self.config.train_buffer {
-                entry.buffer.pop_front();
-            }
-            entry.buffer.push_back((counts.to_vec(), joules));
-            entry.since_refit += 1;
-            self.publish_snapshot(
-                platform,
-                entry.rls.coefficients().to_vec(),
-                entry.rls.residual_std(),
-                entry.rls.rows(),
-            );
-            // A forest/NN needs a handful of rows to be worth fitting;
-            // the CAS keeps at most one refit per platform in flight —
-            // an overlapping trigger is dropped, never queued.
-            if entry.since_refit >= self.config.refit_every
-                && entry.buffer.len() >= width.max(8)
-                && entry
-                    .refit_running
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                entry.since_refit = 0;
-                refit = Some(RefitJob {
-                    platform: platform.to_string(),
-                    x: entry.buffer.iter().map(|(row, _)| row.clone()).collect(),
-                    y: entry.buffer.iter().map(|(_, target)| *target).collect(),
-                    coefficients: entry.rls.coefficients().to_vec(),
-                    residual_std: entry.rls.residual_std(),
-                    rows: entry.rls.rows(),
-                    running: Arc::clone(&entry.refit_running),
-                });
+        let mut online = self.online.lock().expect("online poisoned");
+        let entry = online
+            .entry(platform.to_string())
+            .or_insert_with(|| PlatformOnline {
+                rls: RecursiveLeastSquares::paper_constrained(width),
+                buffer: VecDeque::new(),
+                labelled: 0,
+                since_ok: 0,
+            });
+        if transition.is_some_and(|t| t.from == HealthState::Ok) {
+            entry.since_ok = 0;
+        }
+        let drifted = transition.is_some_and(|t| t.to == HealthState::Drifting);
+        if drifted {
+            // RLS sums its whole history with no forgetting, so the old
+            // regime would keep outweighing the new one: start over from
+            // the windows since the platform left `ok`, never fewer than
+            // a well-posed handful.
+            let take = entry.since_ok.max(width.max(8)).min(entry.buffer.len());
+            entry.rls = RecursiveLeastSquares::paper_constrained(width);
+            for (row, target) in entry.buffer.iter().skip(entry.buffer.len() - take) {
+                entry.rls.observe(row, *target);
             }
         }
-        if let Some(job) = refit {
-            self.spawn_refit(job);
+        entry.rls.observe(counts, joules);
+        // Rows > 0 after observe, so the refit cannot fail.
+        let _ = entry.rls.refit();
+        if entry.buffer.len() == TRAIN_BUFFER {
+            entry.buffer.pop_front();
+        }
+        entry.buffer.push_back((counts.to_vec(), joules));
+        entry.labelled += 1;
+        entry.since_ok += 1;
+        let snapshot = self.publish_snapshot(
+            platform,
+            entry.rls.coefficients().to_vec(),
+            entry.rls.residual_std(),
+            entry.rls.rows(),
+        );
+        if drifted {
+            Some((snapshot, Publication::Drift))
+        } else if entry.labelled.is_multiple_of(PUBLISH_EVERY) {
+            Some((snapshot, Publication::Cadence))
+        } else {
+            None
         }
     }
 
@@ -931,95 +887,32 @@ impl StreamHub {
         coefficients: Vec<f64>,
         residual_std: f64,
         training_rows: usize,
-    ) {
+    ) -> Arc<ModelSnapshot> {
         let mut snapshots = self.snapshots.write().expect("snapshots poisoned");
         let version = snapshots.get(platform).map_or(1, |s| s.version + 1);
-        snapshots.insert(
-            platform.to_string(),
-            Arc::new(ModelSnapshot {
-                family: "online".to_string(),
-                version,
-                coefficients,
-                residual_std,
-                training_rows,
-            }),
-        );
+        let snapshot = Arc::new(ModelSnapshot {
+            family: "online".to_string(),
+            version,
+            coefficients,
+            residual_std,
+            training_rows,
+        });
+        snapshots.insert(platform.to_string(), Arc::clone(&snapshot));
+        snapshot
     }
 
-    /// Run one heavy refit off the hot path: fit forest and neural models
-    /// on the buffered labelled windows, publish all three families
-    /// through the swap callback, and release the per-platform flag.
-    fn spawn_refit(&self, job: RefitJob) {
-        let swap = self.swap.read().expect("swap poisoned").clone();
-        let tracer = self.tracer.read().expect("tracer poisoned").clone();
-        let pmc_names = self.config.pmc_names.clone();
-        let swaps = Arc::clone(&self.refit_swaps);
-        let refits = self.metrics.refits.clone();
-        // Distinct, deterministic seed per refit.
-        let seed = self
-            .refit_seed
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let running = Arc::clone(&job.running);
-        let spawned = thread::Builder::new()
-            .name("pmca-stream-refit".to_string())
-            .spawn(move || {
-                let trace = tracer.as_deref().and_then(|t| {
-                    t.start(
-                        "stream.refit",
-                        &[
-                            ("platform", &job.platform),
-                            ("rows", &job.x.len().to_string()),
-                        ],
-                    )
-                });
-                {
-                    let _scope = trace::scope(trace.as_ref());
-                    if let Some(swap) = &swap {
-                        let mut forest = RandomForest::with_seed(seed);
-                        if forest.fit(&job.x, &job.y).is_ok() {
-                            swap(
-                                &job.platform,
-                                "forest",
-                                pmc_names.clone(),
-                                residual_std_of(&forest, &job.x, &job.y),
-                                job.x.len(),
-                                ModelParams::from_forest(&forest),
-                            );
-                        }
-                        let mut neural = NeuralNet::with_seed(seed);
-                        if neural.fit(&job.x, &job.y).is_ok() {
-                            swap(
-                                &job.platform,
-                                "neural",
-                                pmc_names.clone(),
-                                residual_std_of(&neural, &job.x, &job.y),
-                                job.x.len(),
-                                ModelParams::from_neural(&neural),
-                            );
-                        }
-                        swap(
-                            &job.platform,
-                            "online",
-                            pmc_names,
-                            job.residual_std,
-                            job.rows,
-                            ModelParams::Linear {
-                                coefficients: job.coefficients,
-                                intercept: 0.0,
-                            },
-                        );
-                    }
-                    swaps.fetch_add(1, Ordering::Relaxed);
-                    refits.inc();
-                }
-                if let (Some(tracer), Some(trace)) = (tracer.as_deref(), trace.as_ref()) {
-                    tracer.finish(trace);
-                }
-                job.running.store(false, Ordering::Release);
-            });
-        if spawned.is_err() {
-            running.store(false, Ordering::Release);
+    /// Hand a due snapshot to the installed [`PublishFn`] and count it.
+    fn publish(&self, platform: &str, snapshot: &ModelSnapshot, reason: Publication) {
+        self.publications.fetch_add(1, Ordering::Relaxed);
+        match reason {
+            Publication::Cadence => self.metrics.cadence_refits.inc(),
+            Publication::Drift => {
+                self.drift_refits.fetch_add(1, Ordering::Relaxed);
+                self.metrics.drift_refits.inc();
+            }
+        }
+        if let Some(publish) = self.publish.read().expect("publish poisoned").clone() {
+            publish(platform, snapshot);
         }
     }
 }
@@ -1038,40 +931,10 @@ impl Drop for StreamHub {
     }
 }
 
-/// Everything a detached refit thread needs, copied out under the
-/// `online` lock.
-struct RefitJob {
-    platform: String,
-    x: Vec<Vec<f64>>,
-    y: Vec<f64>,
-    coefficients: Vec<f64>,
-    residual_std: f64,
-    rows: usize,
-    running: Arc<AtomicBool>,
-}
-
-/// Biased in-sample residual standard deviation, matching how the online
-/// training path reports `residual_std`.
-fn residual_std_of<R: Regressor>(model: &R, x: &[Vec<f64>], y: &[f64]) -> f64 {
-    if y.is_empty() {
-        return 0.0;
-    }
-    let rss: f64 = x
-        .iter()
-        .zip(y)
-        .map(|(row, &target)| {
-            let e = model.predict_one(row) - target;
-            e * e
-        })
-        .sum();
-    (rss / y.len() as f64).sqrt().max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pmca_obs::HealthConfig;
-    use std::sync::mpsc;
 
     fn quiet_hub(config: StreamHubConfig) -> StreamHub {
         StreamHub::with_registry(config, &MetricsRegistry::new())
@@ -1176,52 +1039,47 @@ mod tests {
         assert_eq!(hub.open_streams(), 0);
     }
 
+    /// Every `(platform, snapshot)` a publish hook saw, in order.
+    type Published = Arc<Mutex<Vec<(String, ModelSnapshot)>>>;
+
+    fn recording_hub() -> (StreamHub, Published) {
+        let hub = quiet_hub(StreamHubConfig::default());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        hub.set_publish(Arc::new(move |platform: &str, snapshot: &ModelSnapshot| {
+            sink.lock()
+                .unwrap()
+                .push((platform.to_string(), snapshot.clone()));
+        }));
+        (hub, seen)
+    }
+
     #[test]
-    fn heavy_refit_swaps_all_three_families_off_the_hot_path() {
-        let hub = quiet_hub(StreamHubConfig::default().refit_every(8).train_buffer(64));
-        let (tx, rx) = mpsc::channel::<(String, String, usize)>();
-        let tx = Mutex::new(tx);
-        hub.set_swap(Arc::new(
-            move |platform: &str,
-                  family: &str,
-                  _order: Vec<String>,
-                  _rstd: f64,
-                  rows: usize,
-                  _params: ModelParams| {
-                let _ = tx
-                    .lock()
-                    .unwrap()
-                    .send((platform.to_string(), family.to_string(), rows));
-            },
-        ));
-        hub.open("s1", "app", "skylake", 16).unwrap();
-        for id in 1..=8u64 {
-            let c = counts(id as f64);
-            let joules = 2.0 * c[0] + 0.5 * c[1];
-            hub.push("s1", id, &c, Some(joules)).unwrap();
+    fn cadence_publishes_only_the_online_model_once_per_256_labels() {
+        let (hub, seen) = recording_hub();
+        hub.open("labelled", "app", "skylake", 16).unwrap();
+        hub.open("unlabelled", "app", "skylake", 16).unwrap();
+        for id in 1..=3 * PUBLISH_EVERY {
+            let c = counts(1.0 + (id % 8) as f64);
+            hub.push("labelled", id, &c, Some(2.0 * c[0] + 0.5 * c[1]))
+                .unwrap();
+            // Unlabelled windows never count towards the cadence.
+            hub.push("unlabelled", id, &c, None).unwrap();
         }
-        let mut families = Vec::new();
-        for _ in 0..3 {
-            let (platform, family, rows) = rx
-                .recv_timeout(Duration::from_secs(60))
-                .expect("refit publishes");
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 3, "one publication per {PUBLISH_EVERY} labels");
+        for (i, (platform, snapshot)) in seen.iter().enumerate() {
+            let rows = (i + 1) * PUBLISH_EVERY as usize;
             assert_eq!(platform, "skylake");
-            assert_eq!(rows, 8);
-            families.push(family);
+            assert_eq!(snapshot.family, "online");
+            assert_eq!(snapshot.training_rows, rows);
+            assert_eq!(snapshot.version, rows as u64, "the snapshot of that label");
         }
-        families.sort();
-        assert_eq!(families, ["forest", "neural", "online"]);
-        // Wait for the flag release, then the swap counter is visible.
-        for _ in 0..500 {
-            if !hub.refit_in_flight("skylake") {
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(hub.refit_swaps(), 1);
-        // Pushes kept working throughout (never blocked on the refit).
-        hub.push("s1", 9, &counts(9.0), None).unwrap();
-        assert_eq!(hub.poll("s1").unwrap().accepted, 9);
+        assert_eq!(hub.publications(), 3);
+        assert_eq!(hub.drift_refits(), 0);
+        // Publication happens on the pushing thread: the last published
+        // snapshot is exactly what polls serve now.
+        assert_eq!(*hub.snapshot("skylake").unwrap(), seen[2].1);
     }
 
     #[test]
@@ -1305,12 +1163,8 @@ mod tests {
     }
 
     #[test]
-    fn drift_into_drifting_forces_a_detached_refit() {
-        let hub = quiet_hub(
-            StreamHubConfig::default()
-                .refit_every(100_000)
-                .train_buffer(64),
-        );
+    fn entering_drifting_refits_the_online_model_onto_the_new_regime() {
+        let (hub, seen) = recording_hub();
         let health = Arc::new(HealthRegistry::new(HealthConfig {
             min_samples: 1,
             degraded_threshold: 0.2,
@@ -1320,46 +1174,60 @@ mod tests {
             ..HealthConfig::default()
         }));
         hub.set_health(Arc::clone(&health));
-        let (tx, rx) = mpsc::channel::<String>();
-        let tx = Mutex::new(tx);
-        hub.set_swap(Arc::new(
-            move |_platform: &str,
-                  family: &str,
-                  _order: Vec<String>,
-                  _rstd: f64,
-                  _rows: usize,
-                  _params: ModelParams| {
-                let _ = tx.lock().unwrap().send(family.to_string());
-            },
-        ));
         hub.open("s1", "app", "skylake", 64).unwrap();
-        // Regime A: the online model converges on y = 2·c0 and the
-        // buffer passes the refit floor.
-        for id in 1..=12u64 {
-            let c = counts(id as f64);
-            hub.push("s1", id, &c, Some(2.0 * c[0])).unwrap();
+        let state = || health.calibration()[0].state;
+        // Push window `id` labelled y = slope·c0; returns the label.
+        let label = |id: u64, slope: f64| {
+            let c = counts(1.0 + (id % 8) as f64);
+            hub.push("s1", id, &c, Some(slope * c[0])).unwrap();
+            slope * c[0]
+        };
+        // Regime A: 300 windows of y = 2·c0 — enough history that a model
+        // summing every row would take hundreds of windows to follow a
+        // shift.
+        for id in 1..=300 {
+            label(id, 2.0);
         }
         assert_eq!(health.transitions(), 0, "converged model stays Ok");
-        // Regime B: the world shifts to y = 5·c0; out-of-sample residuals
-        // against the stale snapshot rack up drift score fast.
-        for id in 13..=20u64 {
-            let c = counts(id as f64);
-            hub.push("s1", id, &c, Some(5.0 * c[0])).unwrap();
+        assert_eq!(seen.lock().unwrap().len(), 1, "the 256th label published");
+        // Regime B: y = 5·c0. Ok → Degraded → Drifting in two windows.
+        label(301, 5.0);
+        label(302, 5.0);
+        assert_eq!(state(), HealthState::Drifting);
+        assert_eq!(hub.drift_refits(), 1);
+        {
+            let seen = seen.lock().unwrap();
+            let (platform, published) = seen.last().unwrap();
+            assert_eq!(platform, "skylake");
+            assert_eq!(*published, *hub.snapshot("skylake").unwrap());
+            // Refit on the newest 8 buffered windows plus this one, not
+            // on all 302 rows.
+            assert_eq!(published.training_rows, 9);
         }
+        // The refit model starts from the 8-window floor (seven of them
+        // regime A) and keeps learning: POLL serves the new regime to
+        // within 5% 73 windows after the transition, inside the 80 this
+        // test allows. A model summing all 300 regime-A rows is still
+        // ~45% low 100 windows in.
+        let tracked = (303..=382)
+            .find(|&id| {
+                let truth = label(id, 5.0);
+                (hub.poll("s1").unwrap().joules - truth).abs() <= 0.05 * truth
+            })
+            .expect("POLL within 5% of the new regime 80 windows after drifting");
+        // HEALTH is not reset by the refit: the CUSUM built up while the
+        // model caught up decays by the drift tolerance per well-predicted
+        // window, so the state walks back to ok 1143 windows after the
+        // transition.
+        let back_to_ok = (tracked + 1..=2_302).find(|&id| {
+            label(id, 5.0);
+            state() == HealthState::Ok
+        });
         assert!(
-            health.transitions() >= 2,
-            "Ok→Degraded→Drifting walked: {}",
-            health.transitions()
+            back_to_ok.is_some_and(|id| (1_000..=1_300).contains(&(id - 302))),
+            "HEALTH back to ok at window {back_to_ok:?}"
         );
-        let mut families = Vec::new();
-        for _ in 0..3 {
-            families.push(
-                rx.recv_timeout(Duration::from_secs(60))
-                    .expect("drift forces the detached refit"),
-            );
-        }
-        families.sort();
-        assert_eq!(families, ["forest", "neural", "online"]);
+        assert_eq!(hub.drift_refits(), 1, "one refit per entry into drifting");
     }
 
     #[test]

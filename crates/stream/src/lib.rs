@@ -15,15 +15,15 @@
 //!   talks to. Streams are sharded across mutexes so pushes on different
 //!   streams do not contend; estimates are served from an immutable
 //!   [`ModelSnapshot`] behind an `RwLock`, so a poll never waits on a
-//!   model refit.
+//!   model update.
 //! * The online-update layer: every *labelled* window (one that carries
 //!   measured joules) feeds a [`pmca_mlkit::RecursiveLeastSquares`] model
 //!   whose refreshed coefficients are published as a new snapshot
-//!   immediately, while every `refit_every` labelled windows a background
-//!   thread refits the heavier random-forest and neural-network families
-//!   on the retained training buffer and swaps them into the serving
-//!   registry through an installed callback — the hot path never blocks
-//!   on those fits.
+//!   immediately. Every [`PUBLISH_EVERY`]-th labelled window, and whenever
+//!   the health plane moves the platform into drifting (which first refits
+//!   the model from the windows labelled since it left `ok`), the snapshot
+//!   also goes to the serving registry through an installed
+//!   [`PublishFn`], so `ESTIMATE` answers from the stream-learned model.
 //!
 //! Windows are one-second telemetry intervals by convention, so a
 //! predicted joules-per-window is numerically a power in watts; the hub's
@@ -37,6 +37,7 @@ pub mod hub;
 pub mod window;
 
 pub use hub::{
-    ModelSnapshot, PushReply, StreamError, StreamHub, StreamHubConfig, StreamStatus, SwapFn,
+    ModelSnapshot, PublishFn, PushReply, StreamError, StreamHub, StreamHubConfig, StreamStatus,
+    PUBLISH_EVERY,
 };
 pub use window::{synthetic_window, PushOutcome, WindowSample, WindowState, SYNTH_COEFFICIENTS};

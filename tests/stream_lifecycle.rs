@@ -1,10 +1,14 @@
-//! Stream lifecycle edge cases over the full serving stack (ISSUE
-//! satellite): duplicate OPEN, PUSH after CLOSE, out-of-order window
-//! ids, idle-stream eviction, and a multi-threaded flight-recorder
-//! stress run with streaming spans in flight.
+//! Stream lifecycle edge cases over the full serving stack: duplicate
+//! OPEN, PUSH after CLOSE, out-of-order window ids, idle-stream eviction,
+//! a multi-threaded flight-recorder stress run with streaming spans in
+//! flight, and stream-learned models reaching ESTIMATE on the labelled
+//! cadence and on entering drifting.
 
-use pmca_serve::{Client, EnergyService, Server, ServiceConfig, Trace, TraceScope};
-use pmca_stream::synthetic_window;
+use pmca_serve::{
+    Client, EnergyService, Server, ServiceConfig, Trace, TraceScope, STREAM_PUSH_COUNTS,
+};
+use pmca_stream::hub::DEFAULT_PMC_SET;
+use pmca_stream::{synthetic_window, PUBLISH_EVERY};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -129,15 +133,13 @@ fn idle_streams_are_evicted_but_active_streams_survive() {
 
 #[test]
 fn concurrent_streaming_keeps_the_flight_recorder_coherent() {
-    // Labelled pushes small enough refit_every that heavy refits (and
-    // their "stream.refit" traces) fire while open/close churn records
-    // request traces from many connections at once.
+    // Open/close churn records request traces from many connections at
+    // once while labelled pushes keep the online model publishing.
     let server = server(
         ServiceConfig::default()
             .workers(2)
             .cache_capacity(16)
             .seed(11)
-            .stream_refit_every(8)
             .trace_capacity(256),
     );
     let addr = server.addr();
@@ -164,17 +166,12 @@ fn concurrent_streaming_keeps_the_flight_recorder_coherent() {
         handle.join().unwrap();
     }
 
-    // Give detached refit threads a moment to finish their traces.
+    // Publication runs on the pushing connection, so it is visible as
+    // soon as the pushes are answered.
     let service: &Arc<EnergyService> = server.service();
-    for _ in 0..200 {
-        if service.stats().stream_refits > 0 {
-            break;
-        }
-        thread::sleep(Duration::from_millis(10));
-    }
     assert!(
-        service.stats().stream_refits > 0,
-        "4 threads x 6 rounds x 12 labelled windows must cross refit_every=8"
+        service.stats().stream_refits >= 1,
+        "4 threads x 6 rounds x 12 labelled windows must cross {PUBLISH_EVERY}"
     );
 
     let mut client = Client::connect(addr).unwrap();
@@ -193,9 +190,108 @@ fn concurrent_streaming_keeps_the_flight_recorder_coherent() {
             assert!(ns <= trace.total_ns, "span exceeds its trace total");
         }
     }
-    let refit_trace = traces.iter().find(|t| t.label == "stream.refit");
-    if let Some(refit) = refit_trace {
-        assert!(refit.total_ns > 0, "refit trace has a duration");
+    client.quit().unwrap();
+}
+
+/// The deployable 4-PMC set, named for an `ESTIMATE` of `counts`.
+fn named(counts: [f64; STREAM_PUSH_COUNTS]) -> Vec<(String, f64)> {
+    DEFAULT_PMC_SET
+        .iter()
+        .zip(counts)
+        .map(|(name, count)| (name.to_string(), count))
+        .collect()
+}
+
+fn stat(client: &mut Client, key: &str) -> u64 {
+    let stats = client.stats().unwrap();
+    let (_, value) = stats.iter().find(|(k, _)| k == key).expect("STATS key");
+    value.parse().unwrap()
+}
+
+#[test]
+fn stream_learned_coefficients_reach_estimate() {
+    let server = default_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let pmcs: Vec<String> = DEFAULT_PMC_SET.iter().map(|s| s.to_string()).collect();
+    let apps: Vec<String> = (0..4)
+        .flat_map(|i| {
+            [
+                format!("dgemm:{}", 7_000 + 1_900 * i),
+                format!("fft:{}", 23_000 + 1_300 * i),
+            ]
+        })
+        .collect();
+    assert_eq!(client.train("skylake", &pmcs, &apps).unwrap(), 1);
+    // The stream's last window.
+    let (probe, truth) = synthetic_window(0, PUBLISH_EVERY - 1);
+    let trained = client.estimate("skylake", &named(probe)).unwrap();
+    assert_eq!((trained.family.as_ref(), trained.version), ("online", 1));
+
+    // 256 labelled windows of the synthetic ground truth.
+    client.stream_open("learn", "app", "skylake", 16).unwrap();
+    for w in 0..PUBLISH_EVERY {
+        let (counts, joules) = synthetic_window(0, w);
+        assert!(client
+            .stream_push("learn", w, counts, Some(joules))
+            .unwrap());
     }
+    assert!(stat(&mut client, "stream-refits") >= 1);
+    // POLL predicts the newest window, the probe, with the snapshot the
+    // 256th label published.
+    let status = client.stream_poll("learn").unwrap();
+    let served = client.estimate("skylake", &named(probe)).unwrap();
+    assert_eq!(served.family, "online");
+    assert!(served.version > trained.version, "{served:?}");
+    assert_eq!(
+        served.joules, status.joules,
+        "ESTIMATE answers with the stream's snapshot"
+    );
+    assert!(
+        (served.joules - truth).abs() < 0.01 * truth,
+        "{} vs ground truth {truth}",
+        served.joules
+    );
+    client.quit().unwrap();
+}
+
+#[test]
+fn entering_drifting_changes_what_estimate_serves() {
+    let server = default_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.stream_open("shift", "app", "skylake", 16).unwrap();
+    // Regime A: 300 windows of the synthetic ground truth; the 256th
+    // publishes it to the store.
+    for w in 0..300 {
+        let (counts, joules) = synthetic_window(0, w);
+        client
+            .stream_push("shift", w, counts, Some(joules))
+            .unwrap();
+    }
+    let mut w = 300;
+    let (probe, truth) = synthetic_window(0, w);
+    let before = client.estimate("skylake", &named(probe)).unwrap();
+    assert!((before.joules - truth).abs() < 0.01 * truth, "{before:?}");
+    assert_eq!(stat(&mut client, "stream-drift-refits"), 0);
+
+    // Regime B: every window now costs 2.5x the energy. The default
+    // health plane walks Ok → Degraded → Drifting within a handful of
+    // windows; entering drifting refits and publishes.
+    while stat(&mut client, "stream-drift-refits") == 0 {
+        assert!(w < 320, "no drift refit 20 windows into the shift");
+        let (counts, joules) = synthetic_window(0, w);
+        client
+            .stream_push("shift", w, counts, Some(2.5 * joules))
+            .unwrap();
+        w += 1;
+    }
+    let after = client.estimate("skylake", &named(probe)).unwrap();
+    assert!(after.version > before.version, "{after:?} vs {before:?}");
+    // The refit starts from the newest eight windows, about half of them
+    // regime B, not from all 300 regime-A rows.
+    assert!(
+        after.joules > 1.5 * truth,
+        "ESTIMATE still serves the old regime: {} vs {truth}",
+        after.joules
+    );
     client.quit().unwrap();
 }
