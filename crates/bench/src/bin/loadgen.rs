@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! cargo run --release -p pmca-bench --bin loadgen -- \
-//!     [--addr HOST:PORT] [--clients N] [--requests M] [--workers W]
+//!     [--addr HOST:PORT] [--clients N] [--requests M]
 //!     [--duration-secs S] [--pipeline D] [--app-share PCT]
 //!     [--tier f64|fixed|both]
 //!     [--connections N] [--idle-fraction F]
@@ -125,7 +125,6 @@ struct Options {
     addr: Option<String>,
     clients: usize,
     requests: usize,
-    workers: usize,
     pipeline: usize,
     /// Out of 100: how many requests are app-level (cache-backed) rather
     /// than raw counter-level estimates.
@@ -172,7 +171,6 @@ fn parse_options() -> Result<Options, String> {
         addr: None,
         clients: 4,
         requests: 20_000,
-        workers: 4,
         pipeline: 64,
         app_share: 50,
         tier: TierMode::F64,
@@ -199,7 +197,6 @@ fn parse_options() -> Result<Options, String> {
             "--addr" => options.addr = Some(value("--addr")?),
             "--clients" => options.clients = parse_count(&value("--clients")?, "--clients")?,
             "--requests" => options.requests = parse_count(&value("--requests")?, "--requests")?,
-            "--workers" => options.workers = parse_count(&value("--workers")?, "--workers")?,
             "--pipeline" => options.pipeline = parse_count(&value("--pipeline")?, "--pipeline")?,
             "--app-share" => {
                 let raw = value("--app-share")?;
@@ -313,9 +310,8 @@ fn main() {
         Some(addr) => addr.clone(),
         None => {
             println!(
-                "starting in-process server ({} inference workers, {} transport, {} shard(s), \
+                "starting in-process server ({} transport, {} shard(s), \
                  metrics {}, tracing {}, health {})...",
-                options.workers,
                 options.transport,
                 options.shards,
                 if options.no_metrics { "off" } else { "on" },
@@ -324,7 +320,6 @@ fn main() {
             );
             let router = Arc::new(
                 ServiceConfig::default()
-                    .workers(options.workers)
                     .cache_capacity(1024)
                     .seed(42)
                     .metrics(!options.no_metrics)
@@ -460,7 +455,6 @@ fn main() {
     let headline = &passes[0].1;
     let summary = Summary {
         clients: active_clients,
-        workers: options.workers,
         pipeline: options.pipeline,
         app_share: options.app_share,
         tier: options.tier.as_str(),
@@ -647,9 +641,8 @@ fn run_streams(options: &Options) {
         Some(addr) => addr.clone(),
         None => {
             println!(
-                "starting in-process server ({} inference workers, {} transport, {} shard(s), \
+                "starting in-process server ({} transport, {} shard(s), \
                  metrics {}, tracing {}, health {})...",
-                options.workers,
                 options.transport,
                 options.shards,
                 if options.no_metrics { "off" } else { "on" },
@@ -658,7 +651,6 @@ fn run_streams(options: &Options) {
             );
             let router = Arc::new(
                 ServiceConfig::default()
-                    .workers(options.workers)
                     .cache_capacity(1024)
                     .seed(42)
                     .metrics(!options.no_metrics)
@@ -1093,7 +1085,6 @@ impl StreamSummary {
 /// `--compare`.
 struct Summary {
     clients: usize,
-    workers: usize,
     pipeline: usize,
     app_share: u32,
     /// The `--tier` mode this run used.
@@ -1136,14 +1127,13 @@ impl Summary {
             })
             .collect();
         format!(
-            "{{\n{simd}  \"clients\": {},\n  \"workers\": {},\n  \"pipeline\": {},\n  \
+            "{{\n{simd}  \"clients\": {},\n  \"pipeline\": {},\n  \
              \"app_share\": {},\n  \"tier\": \"{}\",\n{tiers}{connections}  \
              \"transport\": \"{}\",\n  \
              \"shards\": {},\n  \"total\": {},\n  \"elapsed_secs\": {:.3},\n  \
              \"throughput_eps\": {:.1},\n  \"p50_us\": {:.1},\n  \"p90_us\": {:.1},\n  \
              \"p99_us\": {:.1},\n  \"p999_us\": {:.1},\n  \"max_us\": {:.1}\n}}\n",
             self.clients,
-            self.workers,
             self.pipeline,
             self.app_share,
             self.tier,
@@ -1213,11 +1203,10 @@ impl Summary {
                 );
             }
         }
-        for key in ["clients", "workers", "pipeline", "app_share"] {
+        for key in ["clients", "pipeline", "app_share"] {
             if let Some(base) = json_number(baseline, key) {
                 let current = match key {
                     "clients" => self.clients as f64,
-                    "workers" => self.workers as f64,
                     "pipeline" => self.pipeline as f64,
                     _ => f64::from(self.app_share),
                 };
@@ -1340,11 +1329,7 @@ fn print_server_percentiles(lines: &[String]) {
             );
         }
     }
-    for counter in [
-        "pmca_cache_hits_total",
-        "pmca_cache_misses_total",
-        "pmca_engine_queue_wait_seconds_count",
-    ] {
+    for counter in ["pmca_cache_hits_total", "pmca_cache_misses_total"] {
         if let Some(v) = lines
             .iter()
             .find_map(|l| l.strip_prefix(&format!("{counter} ")))

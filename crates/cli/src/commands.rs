@@ -51,26 +51,23 @@ usage:
   training, cross-validation); it defaults to the available parallelism and
   never changes results: every output is bit-identical at any thread count
 
-  slope-pmc serve [--addr HOST:PORT] [--workers N] [--cache N] [--registry DIR]
+  slope-pmc serve [--addr HOST:PORT] [--cache N] [--registry DIR]
                   [--shards N] [--transport threaded|evented] [--event-loops N]
                   [--metrics] [--trace-slow-ms MS] [--trace-log PATH] [--no-trace]
-                  [--no-fast-tier]
-      run the energy estimation server (default 127.0.0.1:7771, 4 workers);
-      speaks the line protocol: ESTIMATE, ESTIMATE-APP, TRAIN, MODELS,
-      STATS, METRICS, TRACE, HEALTH, HISTORY, SHARDS, QUIT; --registry
-      loads saved models
-      at startup; --shards N runs N in-process shards behind a
-      consistent-hash router (shard 0 keeps the file-backed registry,
-      replicas restore from its snapshot; --workers is split across
-      shards); --transport evented serves all connections from
+      run the energy estimation server (default 127.0.0.1:7771); speaks
+      the line protocol: ESTIMATE, ESTIMATE-APP, TRAIN, MODELS, STATS,
+      METRICS, TRACE, HEALTH, HISTORY, SHARDS, QUIT; every estimate is
+      answered on the thread that read it (tier=fixed picks the
+      fixed-point kernel); --registry loads saved models at startup;
+      --shards N runs N in-process shards behind a consistent-hash router
+      (shard 0 keeps the file-backed registry, replicas restore from its
+      snapshot); --transport evented serves all connections from
       --event-loops nonblocking event-loop threads instead of one thread
       per connection; --metrics serves until stdin closes, then dumps the
       metrics snapshot (latency histograms + counters) before exiting;
       --trace-slow-ms keeps every request slower than MS in the slow
       flight recorder, --trace-log appends each captured trace as JSONL
-      to PATH, --no-trace disables request tracing entirely;
-      --no-fast-tier disables the fixed-point fast tier so tier=fixed
-      requests run the f64 path
+      to PATH, --no-trace disables request tracing entirely
 
   slope-pmc query [--addr HOST:PORT] REQUEST...
       send one protocol request to a running server and print the reply
@@ -110,7 +107,6 @@ struct Parsed {
     events: Vec<String>,
     addr: String,
     jobs: Option<usize>,
-    workers: usize,
     cache: usize,
     registry: Option<String>,
     shards: usize,
@@ -120,7 +116,6 @@ struct Parsed {
     trace_slow_ms: Option<u64>,
     trace_log: Option<String>,
     no_trace: bool,
-    no_fast_tier: bool,
     window: usize,
     windows: usize,
     label_every: usize,
@@ -138,7 +133,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
     let mut events = Vec::new();
     let mut addr = "127.0.0.1:7771".to_string();
     let mut jobs = None;
-    let mut workers = 4;
     let mut cache = 256;
     let mut registry = None;
     let mut shards = 1;
@@ -148,7 +142,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
     let mut trace_slow_ms = None;
     let mut trace_log = None;
     let mut no_trace = false;
-    let mut no_fast_tier = false;
     let mut window = 32;
     let mut windows = 60;
     let mut label_every = 1;
@@ -198,14 +191,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
                         .ok_or_else(|| format!("--jobs: {value:?} is not a positive count"))?,
                 );
             }
-            "--workers" => {
-                let value = it.next().ok_or("--workers needs a value")?;
-                workers = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--workers: {value:?} is not a positive count"))?;
-            }
             "--cache" => {
                 let value = it.next().ok_or("--cache needs a value")?;
                 cache = value
@@ -248,7 +233,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
                 trace_log = Some(it.next().ok_or("--trace-log needs a file path")?.clone());
             }
             "--no-trace" => no_trace = true,
-            "--no-fast-tier" => no_fast_tier = true,
             "--window" => {
                 let value = it.next().ok_or("--window needs a value")?;
                 window = value
@@ -298,7 +282,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
         events,
         addr,
         jobs,
-        workers,
         cache,
         registry,
         shards,
@@ -308,7 +291,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
         trace_slow_ms,
         trace_log,
         no_trace,
-        no_fast_tier,
         window,
         windows,
         label_every,
@@ -559,13 +541,11 @@ fn cmd_matrix(options: Parsed) -> Result<(), String> {
 
 fn cmd_serve(options: &Parsed) -> Result<(), String> {
     let mut config = ServiceConfig::default()
-        .workers(options.workers)
         .cache_capacity(options.cache)
         .seed(1)
         .transport(options.transport)
         .event_loops(options.event_loops)
-        .tracing(!options.no_trace)
-        .fast_tier(!options.no_fast_tier);
+        .tracing(!options.no_trace);
     if let Some(dir) = &options.registry {
         config = config.registry_dir(dir);
     }
@@ -604,10 +584,9 @@ fn cmd_serve(options: &Parsed) -> Result<(), String> {
     };
     if options.metrics_dump {
         println!(
-            "slope-pmc serving on {} ({} workers, {}-run cache, {} transport{topology}); \
+            "slope-pmc serving on {} ({}-run cache, {} transport{topology}); \
              close stdin (Ctrl-D) for a metrics dump and exit",
             server.addr(),
-            options.workers,
             options.cache,
             options.transport,
         );
@@ -628,10 +607,8 @@ fn cmd_serve(options: &Parsed) -> Result<(), String> {
         return Ok(());
     }
     println!(
-        "slope-pmc serving on {} ({} workers, {}-run cache, {} transport{topology}); \
-         stop with Ctrl-C",
+        "slope-pmc serving on {} ({}-run cache, {} transport{topology}); stop with Ctrl-C",
         server.addr(),
-        options.workers,
         options.cache,
         options.transport,
     );
@@ -666,7 +643,7 @@ fn cmd_query(options: &Parsed) -> Result<(), String> {
         for shard in shards {
             println!(
                 "  shard {}: owns [{}], {} model(s), {} stream(s), served {}, \
-                 errors {}, {} cached run(s), {} worker(s)",
+                 errors {}, {} cached run(s)",
                 shard.shard,
                 shard.owns.join(", "),
                 shard.models,
@@ -674,7 +651,6 @@ fn cmd_query(options: &Parsed) -> Result<(), String> {
                 shard.served,
                 shard.errors,
                 shard.cache_entries,
-                shard.workers,
             );
         }
     } else if line.trim().eq_ignore_ascii_case("HEALTH") {
@@ -971,7 +947,6 @@ mod tests {
     fn query_round_trips_against_a_live_server() {
         let service = Arc::new(
             ServiceConfig::default()
-                .workers(1)
                 .cache_capacity(8)
                 .seed(1)
                 .build()
@@ -1003,7 +978,6 @@ mod tests {
     fn stream_and_monitor_round_trip_against_a_live_server() {
         let service = Arc::new(
             ServiceConfig::default()
-                .workers(1)
                 .cache_capacity(8)
                 .seed(1)
                 .build()
@@ -1052,7 +1026,6 @@ mod tests {
     fn query_round_trips_against_a_sharded_evented_server() {
         let router = Arc::new(
             ServiceConfig::default()
-                .workers(2)
                 .cache_capacity(8)
                 .seed(1)
                 .transport(Transport::Evented)
@@ -1075,9 +1048,9 @@ mod tests {
         let err = dispatch(&argv(&["query", "--addr", "127.0.0.1:1", "STATS"])).unwrap_err();
         assert!(err.contains("cannot reach server"), "{err}");
         assert!(dispatch(&argv(&["query"])).unwrap_err().contains("request"));
-        assert!(dispatch(&argv(&["serve", "--workers", "0"]))
+        assert!(dispatch(&argv(&["serve", "--workers", "4"]))
             .unwrap_err()
-            .contains("positive"));
+            .contains("unknown option --workers"));
         assert!(dispatch(&argv(&["serve", "--cache", "none"]))
             .unwrap_err()
             .contains("positive"));

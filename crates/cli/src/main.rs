@@ -6,7 +6,7 @@
 //! slope-pmc schedule --platform haswell [EVENT...]
 //! slope-pmc measure  --platform skylake APP_SPEC [APP_SPEC...]
 //! slope-pmc collect  --platform skylake --app dgemm:12000 EVENT [EVENT...]
-//! slope-pmc serve    --addr 127.0.0.1:7771 --workers 4
+//! slope-pmc serve    --addr 127.0.0.1:7771
 //! slope-pmc query    --addr 127.0.0.1:7771 ESTIMATE-APP skylake dgemm:12000
 //! ```
 //!

@@ -697,7 +697,6 @@ mod tests {
     fn running_server() -> Server {
         let service = Arc::new(
             ServiceConfig::default()
-                .workers(2)
                 .cache_capacity(16)
                 .seed(7)
                 .build()

@@ -15,9 +15,9 @@
 
 use crate::engine::Estimate;
 use crate::protocol::{
-    err, health_row_fields, history_row_fields, ok_estimate, ok_estimate_into, ok_stats,
-    ok_stream_push_into, ok_stream_status, stream_status_fields, Command, HealthRow, HistoryRow,
-    Request, RequestRef, Tier,
+    err, health_row_fields, history_row_fields, ok_estimate_into, ok_stats, ok_stream_push_into,
+    ok_stream_status, stream_status_fields, Command, HealthRow, HistoryRow, Request, RequestRef,
+    Tier,
 };
 use crate::service::{BatchRequestRef, EnergyService, ServiceError, ServiceStats};
 use crate::shard::ShardRouter;
@@ -117,9 +117,6 @@ pub(crate) struct Dispatcher {
     metrics: CommandMetrics,
     /// `pmca_serve_shard_requests_total{shard=...}`, one per slot.
     shard_requests: Vec<Counter>,
-    /// Snapshot of the primary shard's fast-tier switch, used to label
-    /// the per-tier histograms with the tier a request actually ran on.
-    fast_tier: bool,
 }
 
 impl Dispatcher {
@@ -127,7 +124,6 @@ impl Dispatcher {
         let primary = router.primary();
         let metrics = CommandMetrics::for_service(&primary);
         let registry = primary.metrics_registry();
-        let fast_tier = primary.fast_tier_enabled();
         let shard_requests = (0..router.shard_count())
             .map(|index| {
                 registry.counter(
@@ -140,17 +136,6 @@ impl Dispatcher {
             router,
             metrics,
             shard_requests,
-            fast_tier,
-        }
-    }
-
-    /// The tier a request runs on: its own ask unless the fast tier is
-    /// off, which pins everything to f64 (mirrors the service's rule).
-    fn effective_tier(&self, requested: Tier) -> Tier {
-        if self.fast_tier {
-            requested
-        } else {
-            Tier::F64
         }
     }
 
@@ -308,9 +293,7 @@ impl Dispatcher {
                         BatchRequestRef::Counts { .. } => self.metrics.estimate.record(share),
                         BatchRequestRef::App { .. } => self.metrics.estimate_app.record(share),
                     }
-                    self.metrics
-                        .of_tier(self.effective_tier(request.tier()))
-                        .record(share);
+                    self.metrics.of_tier(request.tier()).record(share);
                 }
             }
         }
@@ -322,29 +305,17 @@ impl Dispatcher {
     fn respond(&self, request: Request) -> (String, bool) {
         let _span = Span::enter(self.metrics.of(request.command()));
         let reply = match request {
-            Request::Estimate {
-                platform,
-                counts,
-                tier,
-            } => {
-                let _tier_span = Span::enter(self.metrics.of_tier(self.effective_tier(tier)));
-                let (service, _scope) = self.routed(&platform);
-                match service.estimate_tiered(&platform, &counts, tier) {
-                    Ok(estimate) => ok_estimate(&estimate),
-                    Err(e) => err(&e.to_string()),
-                }
-            }
-            Request::EstimateApp {
-                platform,
-                app,
-                tier,
-            } => {
-                let _tier_span = Span::enter(self.metrics.of_tier(self.effective_tier(tier)));
-                let (service, _scope) = self.routed(&platform);
-                match service.estimate_app_tiered(&platform, &app, tier) {
-                    Ok(estimate) => ok_estimate(&estimate),
-                    Err(e) => err(&e.to_string()),
-                }
+            // `RequestRef::parse` always borrows these verbs, so
+            // `respond_batch` answers them before they could get here;
+            // should one arrive owned, it takes the same borrowed path.
+            request @ (Request::Estimate { .. }
+            | Request::EstimateApp { .. }
+            | Request::StreamPush { .. }
+            | Request::StreamPoll { .. }) => {
+                let mut reply = String::new();
+                self.respond_batch(&[request.to_line()], &mut reply);
+                reply.truncate(reply.trim_end().len());
+                reply
             }
             Request::Train {
                 platform,
@@ -385,7 +356,6 @@ impl Dispatcher {
                     total.cache_evictions += stats.cache_evictions;
                     total.cache_entries += stats.cache_entries;
                     total.models += stats.models;
-                    total.workers += stats.workers;
                     total.streams += stats.streams;
                     total.stream_refits += stats.stream_refits;
                     total.stream_drift_refits += stats.stream_drift_refits;
@@ -414,35 +384,6 @@ impl Dispatcher {
                 };
                 match result {
                     Ok(capacity) => format!("OK stream={id} opened=1 capacity={capacity}"),
-                    Err(e) => err(&e.to_string()),
-                }
-            }
-            Request::StreamPush {
-                id,
-                window,
-                counts,
-                joules,
-            } => {
-                let result = {
-                    let (service, _scope) = self.routed(&id);
-                    service.stream_push(&id, window, &counts, joules)
-                };
-                match result {
-                    Ok(reply) => {
-                        let mut out = String::new();
-                        ok_stream_push_into(&reply, window, &mut out);
-                        out
-                    }
-                    Err(e) => err(&e.to_string()),
-                }
-            }
-            Request::StreamPoll { id } => {
-                let result = {
-                    let (service, _scope) = self.routed(&id);
-                    service.stream_poll(&id)
-                };
-                match result {
-                    Ok(status) => ok_stream_status(&status),
                     Err(e) => err(&e.to_string()),
                 }
             }

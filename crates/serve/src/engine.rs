@@ -1,27 +1,32 @@
-//! Inference engine: a fixed pool of worker threads answering
-//! "PMC vector → dynamic energy" requests.
+//! Inference engine: answers "PMC vector → dynamic energy" requests on
+//! the calling thread.
 //!
-//! The dispatch layer is built for the serving hot path:
+//! Every estimate, on either tier, goes through one core,
+//! [`InferenceEngine::estimate_rows`], which takes a model, a tier and a
+//! batch of rows and evaluates them where it was called: the connection
+//! thread on the threaded transport, the loop thread on the evented one.
+//! There is no queue and no worker pool — the deployed model is a
+//! 4-wide dot product, cheaper than any hand-off.
 //!
-//! * **Per-worker bounded queues.** Each worker owns a
-//!   `Mutex<VecDeque<Job>>` + condvar pair; submitters push round-robin,
-//!   so the pool never serializes on one shared channel lock. A worker
-//!   whose queue runs dry steals from its neighbours before sleeping, so
-//!   an uneven burst still saturates every thread.
-//! * **Reusable reply slots.** Replies land in a per-submitting-thread
-//!   slot (mutex + condvar + result vector) that is armed and
-//!   reused across requests — a warm `ESTIMATE` performs zero channel
-//!   or slot allocations.
-//! * **Compiled predictors.** Workers evaluate
-//!   [`pmca_mlkit::CompiledModel`] lowerings — flat
-//!   branch-free trees, fused linear dot products, transposed network
-//!   weights — cached per worker and shared engine-wide so the lowering
-//!   cost is paid once per model version, not once per worker.
+//! * **Lowered once per version.** The first estimate against a model
+//!   version lowers it — a [`pmca_mlkit::CompiledModel`] for the f64
+//!   tier (flat branch-free trees, fused linear dot products, transposed
+//!   network weights) and, where representable, a
+//!   [`pmca_mlkit::FixedModel`] for the fixed-point tier — and stores
+//!   the lowering inside that [`StoredModel`]. Calling threads share it,
+//!   and it is dropped with the version: the engine holds no model.
+//! * **Fixed-point tier.** `tier=fixed` rows are quantized into a
+//!   per-thread SoA scratch and evaluated with integer arithmetic, no
+//!   allocation once the scratch is warm. A model that cannot be lowered,
+//!   or a batch carrying a count above the lowered domain, is served by
+//!   the f64 path, bit-identically.
 //!
 //! Every estimate carries a 95 % prediction half-width derived from the
 //! model's training residuals via the Student-t critical value — the same
-//! machinery the measurement methodology uses for energy CIs.
+//! machinery the measurement methodology uses for energy CIs. The fixed
+//! tier widens it by the lowering's proven error bound.
 
+use crate::protocol::Tier;
 use crate::registry::StoredModel;
 use pmca_mlkit::{CompiledModel, FixedBatch, FixedModel};
 use pmca_obs::trace::{self, ActiveTrace, TraceSpan};
@@ -30,13 +35,11 @@ use pmca_simd::Isa;
 use pmca_stats::confidence::t_critical;
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Confidence level of served prediction intervals.
 const CONFIDENCE: f64 = 0.95;
@@ -47,14 +50,6 @@ const CONFIDENCE: f64 = 0.95;
 /// valid) count is served by the f64 path instead — correctness never
 /// depends on the domain, only tier selection does.
 const FIXED_FEATURE_MAX: f64 = 1.0e13;
-
-/// Per-worker queue depth bound. Submitters overflowing every queue spin
-/// (with a short sleep) until a worker drains — backpressure, not OOM.
-const QUEUE_CAP: usize = 1024;
-
-/// How long an idle worker sleeps before re-polling (bounds the window of
-/// a lost wakeup race and paces the steal sweep).
-const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// One answered estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +93,6 @@ pub enum EngineError {
     BadCount,
     /// The stored parameters failed to instantiate.
     Model(String),
-    /// The engine is shutting down.
-    Stopped,
 }
 
 impl fmt::Display for EngineError {
@@ -110,258 +103,89 @@ impl fmt::Display for EngineError {
             }
             EngineError::BadCount => write!(f, "counts must be finite and non-negative"),
             EngineError::Model(detail) => write!(f, "model error: {detail}"),
-            EngineError::Stopped => write!(f, "inference engine stopped"),
         }
     }
 }
 
 impl Error for EngineError {}
 
-/// Where replies land. One slot lives per *submitting* thread and is
-/// re-armed for every request or batch, so the warm path allocates no
-/// channels: workers deliver into the slot's preallocated result vector
-/// and the submitter parks on the condvar until every index is filled.
-struct ReplySlot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
+/// One row of a batch: feature-ordered counts and the trace of the
+/// request it belongs to. A pipelined batch interleaves rows of
+/// different requests, so each row carries its own trace rather than
+/// trusting the thread's current one.
+pub type Row = (Vec<f64>, Option<ActiveTrace>);
+
+/// A stored model lowered for serving, plus the per-model constants a
+/// reply needs — computed once per version so the per-request path does
+/// no string cloning or t-table lookups. Held by the version itself
+/// (see [`StoredModel`]), never by the engine.
+#[derive(Debug)]
+pub(crate) struct Lowering {
+    /// The f64 predictor, or why it could not be built.
+    compiled: Result<CompiledModel, EngineError>,
+    /// The fixed-point predictor with its widened half-width; `None`
+    /// when the model cannot be lowered (unsupported family or
+    /// unrepresentable coefficients) — such models always serve f64.
+    fixed: Option<(FixedModel, f64)>,
+    half_width: f64,
+    family: Cow<'static, str>,
+    version: u32,
+    width: usize,
 }
 
-#[derive(Default)]
-struct SlotState {
-    remaining: usize,
-    results: Vec<Option<Result<Estimate, EngineError>>>,
-}
-
-impl ReplySlot {
-    fn new() -> ReplySlot {
-        ReplySlot {
-            state: Mutex::new(SlotState::default()),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Prepare the slot for `n` outstanding replies. Reuses the result
-    /// vector's capacity — no allocation once the high-water mark is hit.
-    fn arm(&self, n: usize) {
-        let mut state = self.state.lock().expect("reply slot poisoned");
-        state.remaining = n;
-        state.results.clear();
-        state.results.resize_with(n, || None);
-    }
-
-    /// Deliver one result. Double deliveries and out-of-range indices are
-    /// ignored, so `remaining` counts distinct filled slots and the
-    /// waiter can never be released early or hang on a duplicate.
-    fn deliver(&self, index: usize, result: Result<Estimate, EngineError>) {
-        let mut state = self.state.lock().expect("reply slot poisoned");
-        let newly_filled = match state.results.get_mut(index) {
-            Some(slot @ None) => {
-                *slot = Some(result);
-                true
+impl Lowering {
+    /// The lowering of `model`, built on its first estimate.
+    fn of(model: &StoredModel) -> &Lowering {
+        model.derived.lowering.get_or_init(|| {
+            let half_width = prediction_half_width(model);
+            Lowering {
+                compiled: CompiledModel::compile(&model.params)
+                    .map_err(|e| EngineError::Model(e.to_string())),
+                fixed: FixedModel::lower(&model.params, FIXED_FEATURE_MAX)
+                    .ok()
+                    .map(|fixed| {
+                        let widened = half_width
+                            + fixed
+                                .direct_error_bound()
+                                .unwrap_or_else(|| fixed.error_bound());
+                        (fixed, widened)
+                    }),
+                half_width,
+                family: intern_family(&model.key.family),
+                version: model.version,
+                width: model.params.width(),
             }
-            _ => false,
-        };
-        if newly_filled {
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                self.ready.notify_all();
-            }
+        })
+    }
+
+    /// Reject a row of the wrong width or with an unusable count.
+    fn check(&self, counts: &[f64]) -> Result<(), EngineError> {
+        if counts.len() != self.width {
+            return Err(EngineError::Shape {
+                expected: self.width,
+                got: counts.len(),
+            });
         }
-    }
-
-    /// Block until every armed reply has been delivered.
-    fn wait(&self) -> std::sync::MutexGuard<'_, SlotState> {
-        let mut state = self.state.lock().expect("reply slot poisoned");
-        while state.remaining > 0 {
-            state = self.ready.wait(state).expect("reply slot poisoned");
+        if counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
+            return Err(EngineError::BadCount);
         }
-        state
-    }
-
-    /// Wait for a single-reply arm and take the result, keeping the
-    /// buffer allocated for the next request.
-    fn wait_one(&self) -> Result<Estimate, EngineError> {
-        let mut state = self.wait();
-        state
-            .results
-            .first_mut()
-            .and_then(Option::take)
-            .unwrap_or(Err(EngineError::Stopped))
-    }
-
-    /// Wait for a batch arm and drain the results in index order.
-    fn wait_collect(&self) -> Vec<Result<Estimate, EngineError>> {
-        let mut state = self.wait();
-        state
-            .results
-            .iter_mut()
-            .map(|slot| slot.take().unwrap_or(Err(EngineError::Stopped)))
-            .collect()
-    }
-}
-
-thread_local! {
-    /// The calling thread's reply slot, shared by all engines this thread
-    /// submits to. Sound because submission always blocks until every
-    /// reply lands — the slot is never armed re-entrantly.
-    static REPLY_SLOT: Arc<ReplySlot> = Arc::new(ReplySlot::new());
-}
-
-struct Job {
-    model: Arc<StoredModel>,
-    counts: Vec<f64>,
-    /// Position in the submitting batch (0 for single requests).
-    index: usize,
-    /// Submission time, for the queue-wait histogram. `None` when the
-    /// engine's metrics are disabled — no clock read on the opt-out path.
-    enqueued: Option<Instant>,
-    /// Trace of the request this job belongs to. Crossing the queue with
-    /// the job is what attributes queue wait to the *originating* request
-    /// rather than to the worker that dequeued it.
-    trace: Option<ActiveTrace>,
-    reply: Arc<ReplySlot>,
-    delivered: bool,
-}
-
-impl Job {
-    /// Mark the job queued on its originating trace (called on the
-    /// submitting thread, before the push).
-    fn mark_enqueued(&self) {
-        if let Some(trace) = &self.trace {
-            trace.begin("engine.queue", &[]);
-        }
-    }
-
-    /// Close the queue stage on dequeue (called on the worker thread).
-    fn mark_dequeued(&self) {
-        if let Some(trace) = &self.trace {
-            trace.end("engine.queue");
-        }
-    }
-
-    /// Deliver the outcome to the submitter's slot.
-    fn finish(mut self, outcome: Result<Estimate, EngineError>) {
-        self.delivered = true;
-        self.reply.deliver(self.index, outcome);
-    }
-}
-
-impl Drop for Job {
-    fn drop(&mut self) {
-        // A job dropped without an answer (e.g. during shutdown) still
-        // releases its submitter: every armed index is always delivered.
-        if !self.delivered {
-            self.reply.deliver(self.index, Err(EngineError::Stopped));
-        }
-    }
-}
-
-/// One worker's job queue: bounded deque + wakeup condvar.
-struct WorkerQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-}
-
-impl WorkerQueue {
-    fn new() -> WorkerQueue {
-        WorkerQueue {
-            jobs: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Push unless the queue is at capacity; returns the job back on
-    /// overflow so the submitter can try the next queue.
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut jobs = self.jobs.lock().expect("worker queue poisoned");
-        if jobs.len() >= QUEUE_CAP {
-            return Err(job);
-        }
-        jobs.push_back(job);
-        drop(jobs);
-        self.ready.notify_one();
         Ok(())
     }
 
-    fn pop(&self) -> Option<Job> {
-        self.jobs.lock().expect("worker queue poisoned").pop_front()
-    }
-}
-
-/// State shared between submitters and workers.
-struct EngineShared {
-    queues: Vec<WorkerQueue>,
-    /// Round-robin cursor for submissions.
-    next: AtomicUsize,
-    stop: AtomicBool,
-    served: AtomicU64,
-    errors: AtomicU64,
-    /// Engine-wide compiled-model cache keyed by the `Arc` allocation
-    /// address of the stored model. Workers consult it on a local miss so
-    /// lowering runs once per model version, not once per worker.
-    compiled: Mutex<HashMap<usize, CompiledEntry>>,
-    /// Engine-wide fixed-point cache, keyed like `compiled`. The fixed
-    /// tier evaluates on the submitting thread (no worker round trip),
-    /// so there is no per-worker local layer; an entry whose lowering
-    /// failed is remembered as `fixed: None` so the fallback never
-    /// retries the lowering.
-    fixed: Mutex<HashMap<usize, FixedEntry>>,
-}
-
-impl EngineShared {
-    /// Round-robin push with overflow fallback: try the chosen queue,
-    /// then sweep the rest; if every queue is full, back off briefly and
-    /// retry (backpressure).
-    fn push(&self, mut job: Job) {
-        let n = self.queues.len();
-        let start = self.next.fetch_add(1, Ordering::Relaxed) % n;
-        loop {
-            for k in 0..n {
-                match self.queues[(start + k) % n].try_push(job) {
-                    Ok(()) => return,
-                    Err(back) => job = back,
-                }
-            }
-            thread::sleep(Duration::from_micros(50));
+    fn reply(&self, joules: f64, ci_half_width: f64) -> Estimate {
+        Estimate {
+            joules: joules.max(0.0),
+            ci_half_width,
+            family: self.family.clone(),
+            version: self.version,
         }
     }
 }
 
-/// A stored model lowered for serving, plus the per-model constants the
-/// reply needs — computed once at compile time so the per-request path
-/// does no string cloning or t-table lookups.
-#[derive(Clone)]
-struct CompiledEntry {
-    /// Keeps the keying `Arc` address valid for the cache's lifetime.
-    _model: Arc<StoredModel>,
-    compiled: Arc<CompiledModel>,
-    half_width: f64,
-    family: Cow<'static, str>,
-    version: u32,
-    width: usize,
-}
-
-/// A stored model lowered to integer fixed point for the fast tier,
-/// plus the same per-model reply constants as [`CompiledEntry`].
-#[derive(Clone)]
-struct FixedEntry {
-    /// Keeps the keying `Arc` address valid for the cache's lifetime.
-    _model: Arc<StoredModel>,
-    /// `None` when the model cannot be lowered (unsupported family or
-    /// unrepresentable coefficients) — such models always serve f64.
-    fixed: Option<Arc<FixedModel>>,
-    half_width: f64,
-    family: Cow<'static, str>,
-    version: u32,
-    width: usize,
-}
-
-/// Time-attribution instruments of one engine: how long jobs sat in the
-/// queue versus how long inference itself took, plus the fixed tier's
-/// whole-batch SoA evaluations.
+/// Time-attribution instruments of one engine: per-row f64 inference,
+/// and the fixed tier's whole-batch SoA evaluations.
 #[derive(Debug, Clone)]
 struct EngineMetrics {
-    queue_wait: Histogram,
     compute: Histogram,
     fixed_batch: Histogram,
 }
@@ -369,7 +193,6 @@ struct EngineMetrics {
 impl EngineMetrics {
     fn standalone() -> Self {
         EngineMetrics {
-            queue_wait: Histogram::standalone(),
             compute: Histogram::standalone(),
             fixed_batch: Histogram::standalone(),
         }
@@ -383,7 +206,6 @@ impl EngineMetrics {
             .gauge("pmca_simd_isa", &[("isa", Isa::active().as_str())])
             .set(1.0);
         EngineMetrics {
-            queue_wait: registry.histogram("pmca_engine_queue_wait_seconds", &[]),
             compute: registry.histogram("pmca_engine_compute_seconds", &[]),
             fixed_batch: registry.histogram("pmca_engine_fixed_batch_seconds", &[]),
         }
@@ -408,304 +230,171 @@ thread_local! {
     });
 }
 
-/// Fixed worker-thread pool serving energy estimates.
+/// Serves energy estimates on the calling thread and counts them.
+#[derive(Debug)]
 pub struct InferenceEngine {
-    shared: Arc<EngineShared>,
-    handles: Vec<thread::JoinHandle<()>>,
-    workers: usize,
     metrics: EngineMetrics,
-}
-
-impl fmt::Debug for InferenceEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InferenceEngine")
-            .field("workers", &self.workers)
-            .field("served", &self.served())
-            .field("errors", &self.errors())
-            .finish()
-    }
+    served: AtomicU64,
+    errors: AtomicU64,
 }
 
 impl InferenceEngine {
-    /// Start an engine with `workers` threads (≥ 1) and standalone
-    /// (unexported) metrics.
+    /// An engine with standalone (unexported) metrics.
     ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        InferenceEngine::build(workers, EngineMetrics::standalone())
+    /// The argument is ignored: estimates run on the calling thread, so
+    /// there is no pool to size. It remains only so existing callers
+    /// keep compiling.
+    pub fn new(_workers: usize) -> Self {
+        InferenceEngine::build(EngineMetrics::standalone())
     }
 
-    /// Start an engine whose queue-wait and compute histograms are
-    /// registered as `pmca_engine_*_seconds` in `registry`. With a
-    /// disabled registry the engine never reads the clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_registry(workers: usize, registry: &MetricsRegistry) -> Self {
-        InferenceEngine::build(workers, EngineMetrics::from_registry(registry))
+    /// An engine whose compute histograms are registered as
+    /// `pmca_engine_*_seconds` in `registry`. With a disabled registry
+    /// the engine never reads the clock.
+    pub fn with_registry(registry: &MetricsRegistry) -> Self {
+        InferenceEngine::build(EngineMetrics::from_registry(registry))
     }
 
-    fn build(workers: usize, metrics: EngineMetrics) -> Self {
-        assert!(workers > 0, "inference engine needs at least one worker");
-        let shared = Arc::new(EngineShared {
-            queues: (0..workers).map(|_| WorkerQueue::new()).collect(),
-            next: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
+    fn build(metrics: EngineMetrics) -> Self {
+        InferenceEngine {
+            metrics,
             served: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            compiled: Mutex::new(HashMap::new()),
-            fixed: Mutex::new(HashMap::new()),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let metrics = metrics.clone();
-                thread::Builder::new()
-                    .name(format!("pmca-infer-{i}"))
-                    .spawn(move || worker_loop(&shared, i, &metrics))
-                    .expect("spawn inference worker")
-            })
-            .collect();
-        InferenceEngine {
-            shared,
-            handles,
-            workers,
-            metrics,
         }
     }
 
-    /// Submission timestamp for the queue-wait histogram: skip the clock
-    /// read entirely when metrics are off.
-    fn stamp(&self) -> Option<Instant> {
-        self.metrics.queue_wait.enabled().then(Instant::now)
-    }
-
-    /// Answer one request on the pool.
+    /// Answer one request on the f64 tier.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] for malformed requests or a stopped engine.
+    /// Returns [`EngineError`] for a malformed request or model.
     pub fn estimate(
         &self,
         model: &Arc<StoredModel>,
         counts: Vec<f64>,
     ) -> Result<Estimate, EngineError> {
-        if self.shared.stop.load(Ordering::Acquire) {
-            return Err(EngineError::Stopped);
-        }
-        REPLY_SLOT.with(|slot| {
-            slot.arm(1);
-            let job = Job {
-                model: Arc::clone(model),
-                counts,
-                index: 0,
-                enqueued: self.stamp(),
-                trace: trace::current(),
-                reply: Arc::clone(slot),
-                delivered: false,
-            };
-            job.mark_enqueued();
-            self.shared.push(job);
-            slot.wait_one()
-        })
+        self.estimate_one(model, Tier::F64, counts)
     }
 
-    /// Answer a batch of requests against one model. All rows are enqueued
-    /// before any reply is awaited, so they spread across the pool; the
-    /// result order matches the input order.
-    pub fn estimate_batch(
-        &self,
-        model: &Arc<StoredModel>,
-        rows: Vec<Vec<f64>>,
-    ) -> Vec<Result<Estimate, EngineError>> {
-        let rows = rows.into_iter().map(|counts| (counts, None)).collect();
-        self.estimate_batch_traced(model, rows)
-    }
-
-    /// [`estimate_batch`](InferenceEngine::estimate_batch) with an
-    /// explicit per-row trace. A pipelined batch interleaves rows from
-    /// *different* request traces, so the submitting thread's ambient
-    /// current trace would misattribute them — each row carries its own.
-    pub fn estimate_batch_traced(
-        &self,
-        model: &Arc<StoredModel>,
-        rows: Vec<(Vec<f64>, Option<ActiveTrace>)>,
-    ) -> Vec<Result<Estimate, EngineError>> {
-        let total = rows.len();
-        if self.shared.stop.load(Ordering::Acquire) {
-            return (0..total).map(|_| Err(EngineError::Stopped)).collect();
-        }
-        REPLY_SLOT.with(|slot| {
-            slot.arm(total);
-            for (index, (counts, trace)) in rows.into_iter().enumerate() {
-                let job = Job {
-                    model: Arc::clone(model),
-                    counts,
-                    index,
-                    enqueued: self.stamp(),
-                    trace,
-                    reply: Arc::clone(slot),
-                    delivered: false,
-                };
-                job.mark_enqueued();
-                self.shared.push(job);
-            }
-            slot.wait_collect()
-        })
-    }
-
-    /// Answer one request on the fixed-point fast tier (see
-    /// [`estimate_batch_fixed_traced`](InferenceEngine::estimate_batch_fixed_traced)
-    /// for the tier's fallback rules). Unlike the batch entry point this
-    /// path allocates nothing on a warm scratch — no row vector, no
-    /// result collection — which is what pipelined `ESTIMATE` traffic
-    /// rides on.
+    /// Answer one request on the fixed-point tier (see
+    /// [`estimate_rows`](InferenceEngine::estimate_rows) for its
+    /// fallback rules).
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] for malformed requests or a stopped engine.
+    /// Returns [`EngineError`] for a malformed request or model.
     pub fn estimate_fixed(
         &self,
         model: &Arc<StoredModel>,
         counts: Vec<f64>,
     ) -> Result<Estimate, EngineError> {
-        if self.shared.stop.load(Ordering::Acquire) {
-            return Err(EngineError::Stopped);
-        }
-        let entry = self.fixed_entry(model);
-        // Same fallback rules as the batch path: unlowerable model or an
-        // oversized (but valid) count serves f64, bit-identically.
-        let fallback = match entry.fixed.as_ref() {
-            None => true,
-            Some(_) => counts.iter().any(|c| *c > FIXED_FEATURE_MAX),
-        };
-        if fallback {
-            return self
-                .estimate_batch_traced(model, vec![(counts, trace::current())])
-                .pop()
-                .unwrap_or(Err(EngineError::Stopped));
-        }
-        let fixed = entry.fixed.as_ref().expect("checked above");
-        let started = self.metrics.fixed_batch.enabled().then(Instant::now);
-        let trace = trace::current();
-        if let Some(trace) = trace.as_ref() {
-            trace.begin("engine.fixed", &[]);
-        }
-        let result = if counts.len() != entry.width {
-            Err(EngineError::Shape {
-                expected: entry.width,
-                got: counts.len(),
-            })
-        } else if counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
-            Err(EngineError::BadCount)
-        } else {
-            let joules = FIXED_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                scratch.batch.clear();
-                scratch.out.clear();
-                fixed.push_row(&mut scratch.batch, &counts);
-                fixed.predict_batch_into(&mut scratch.batch, &mut scratch.out);
-                scratch.out[0]
-            });
-            Ok(Estimate {
-                joules: joules.max(0.0),
-                ci_half_width: entry.half_width
-                    + fixed
-                        .direct_error_bound()
-                        .unwrap_or_else(|| fixed.error_bound()),
-                family: entry.family.clone(),
-                version: entry.version,
-            })
-        };
-        if let Some(trace) = trace.as_ref() {
-            trace.end("engine.fixed");
-        }
-        if let Some(started) = started {
-            self.metrics.fixed_batch.record(started.elapsed());
-        }
-        match &result {
-            Ok(_) => self.shared.served.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.shared.errors.fetch_add(1, Ordering::Relaxed),
-        };
-        result
+        self.estimate_one(model, Tier::Fixed, counts)
     }
 
-    /// Answer a batch of requests against one model on the fixed-point
-    /// fast tier: the whole batch is quantized into a reusable SoA
-    /// scratch and evaluated inline on the calling thread — integer-only
-    /// arithmetic, no worker-queue round trip, no allocation once the
-    /// scratch is warm. The result order matches the input order.
-    ///
-    /// The tier falls back to
-    /// [`estimate_batch_traced`](InferenceEngine::estimate_batch_traced)
-    /// as a whole batch when the model cannot be lowered to fixed point
-    /// or any count exceeds the lowered input domain, so callers always
-    /// get an answer; malformed rows (shape mismatch, non-finite or
-    /// negative counts) error individually, exactly like the f64 path.
-    ///
-    /// Served estimates carry `ci_half_width` widened by the lowered
-    /// model's proven error bound, so the fixed tier's interval still
-    /// covers the f64 answer.
-    pub fn estimate_batch_fixed_traced(
+    fn estimate_one(
+        &self,
+        model: &StoredModel,
+        tier: Tier,
+        counts: Vec<f64>,
+    ) -> Result<Estimate, EngineError> {
+        let mut answers = self.estimate_rows(model, tier, &[(counts, trace::current())]);
+        answers.pop().expect("one answer per row")
+    }
+
+    /// Answer a batch of f64 requests against one model, in input order.
+    pub fn estimate_batch(
         &self,
         model: &Arc<StoredModel>,
-        rows: Vec<(Vec<f64>, Option<ActiveTrace>)>,
+        rows: Vec<Vec<f64>>,
     ) -> Vec<Result<Estimate, EngineError>> {
-        let total = rows.len();
-        if self.shared.stop.load(Ordering::Acquire) {
-            return (0..total).map(|_| Err(EngineError::Stopped)).collect();
-        }
-        let entry = self.fixed_entry(model);
-        let Some(fixed) = entry.fixed.as_ref() else {
-            return self.estimate_batch_traced(model, rows);
+        let rows: Vec<Row> = rows.into_iter().map(|counts| (counts, None)).collect();
+        self.estimate_rows(model, Tier::F64, &rows)
+    }
+
+    /// The engine core: answer `rows` against `model` on `tier`, on the
+    /// calling thread, one result per row in input order. Malformed rows
+    /// (shape mismatch, non-finite or negative counts) error
+    /// individually on both tiers.
+    ///
+    /// [`Tier::Fixed`] quantizes the whole batch into a reusable SoA
+    /// scratch and evaluates it with integer-only arithmetic; its
+    /// intervals are widened by the lowered model's proven error bound,
+    /// so they still cover the f64 answer. The batch is served by the
+    /// f64 path instead, bit-identically, when the model cannot be
+    /// lowered to fixed point or any count exceeds the lowered input
+    /// domain — mixed batches would interleave the two evaluators for
+    /// no latency win.
+    pub fn estimate_rows(
+        &self,
+        model: &StoredModel,
+        tier: Tier,
+        rows: &[Row],
+    ) -> Vec<Result<Estimate, EngineError>> {
+        let lowering = Lowering::of(model);
+        let answers = match (tier, &lowering.fixed) {
+            (Tier::Fixed, Some((fixed, widened)))
+                if !rows
+                    .iter()
+                    .any(|(counts, _)| counts.iter().any(|c| *c > FIXED_FEATURE_MAX)) =>
+            {
+                self.fixed_rows(lowering, fixed, *widened, rows)
+            }
+            _ => self.f64_rows(lowering, rows),
         };
-        // One oversized (but valid) count anywhere sends the whole batch
-        // down the f64 path: mixed batches would interleave the two
-        // evaluators for no latency win.
-        if rows
-            .iter()
-            .any(|(counts, _)| counts.iter().any(|c| *c > FIXED_FEATURE_MAX))
-        {
-            return self.estimate_batch_traced(model, rows);
-        }
-        let ci_half_width = entry.half_width
-            + fixed
-                .direct_error_bound()
-                .unwrap_or_else(|| fixed.error_bound());
+        let ok = answers.iter().filter(|r| r.is_ok()).count() as u64;
+        self.served.fetch_add(ok, Ordering::Relaxed);
+        self.errors
+            .fetch_add(answers.len() as u64 - ok, Ordering::Relaxed);
+        answers
+    }
+
+    /// The f64 tier: one compiled prediction per row, each timed and
+    /// traced into its own request.
+    fn f64_rows(&self, lowering: &Lowering, rows: &[Row]) -> Vec<Result<Estimate, EngineError>> {
+        rows.iter()
+            .map(|(counts, trace)| {
+                let _trace_scope = trace::scope(trace.as_ref());
+                let _compute_trace = TraceSpan::enter("engine.compute");
+                let _compute = Span::enter(&self.metrics.compute);
+                let compiled = lowering.compiled.as_ref().map_err(Clone::clone)?;
+                lowering.check(counts)?;
+                Ok(lowering.reply(compiled.predict_one(counts), lowering.half_width))
+            })
+            .collect()
+    }
+
+    /// The fixed tier: the valid rows of the batch in one SoA pass.
+    fn fixed_rows(
+        &self,
+        lowering: &Lowering,
+        fixed: &FixedModel,
+        widened: f64,
+        rows: &[Row],
+    ) -> Vec<Result<Estimate, EngineError>> {
         let started = self.metrics.fixed_batch.enabled().then(Instant::now);
         for trace in rows.iter().filter_map(|(_, trace)| trace.as_ref()) {
             trace.begin("engine.fixed", &[]);
         }
-        let mut results: Vec<Option<Result<Estimate, EngineError>>> = Vec::with_capacity(total);
-        results.resize_with(total, || None);
+        let mut answers: Vec<Result<Estimate, EngineError>> = rows
+            .iter()
+            .map(|(counts, _)| {
+                lowering
+                    .check(counts)
+                    .map(|()| lowering.reply(0.0, widened))
+            })
+            .collect();
         FIXED_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.batch.clear();
             scratch.out.clear();
             scratch.valid.clear();
-            for (i, (counts, _)) in rows.iter().enumerate() {
-                if counts.len() != entry.width {
-                    results[i] = Some(Err(EngineError::Shape {
-                        expected: entry.width,
-                        got: counts.len(),
-                    }));
-                    continue;
-                }
-                if counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
-                    results[i] = Some(Err(EngineError::BadCount));
-                    continue;
-                }
-                scratch.valid.push(i);
-            }
-            // Bulk ingestion: one width check and one column
-            // reservation for the whole batch instead of one per row
-            // (the per-row validation above already produced the
-            // individual Shape/BadCount errors). Single-row batches —
-            // the pipelined ESTIMATE hot path — skip the slice gather
-            // so they stay allocation-free.
+            scratch
+                .valid
+                .extend((0..rows.len()).filter(|&i| answers[i].is_ok()));
+            // Bulk ingestion: one width check and one column reservation
+            // for the whole batch instead of one per row. Single-row
+            // batches — the pipelined ESTIMATE hot path — skip the slice
+            // gather so they stay allocation-free.
             match scratch.valid.as_slice() {
                 &[i] => fixed.push_row(&mut scratch.batch, &rows[i].0),
                 valid => {
@@ -716,12 +405,9 @@ impl InferenceEngine {
             }
             fixed.predict_batch_into(&mut scratch.batch, &mut scratch.out);
             for (&i, joules) in scratch.valid.iter().zip(&scratch.out) {
-                results[i] = Some(Ok(Estimate {
-                    joules: joules.max(0.0),
-                    ci_half_width,
-                    family: entry.family.clone(),
-                    version: entry.version,
-                }));
+                if let Ok(estimate) = &mut answers[i] {
+                    estimate.joules = joules.max(0.0);
+                }
             }
         });
         for trace in rows.iter().filter_map(|(_, trace)| trace.as_ref()) {
@@ -730,193 +416,18 @@ impl InferenceEngine {
         if let Some(started) = started {
             self.metrics.fixed_batch.record(started.elapsed());
         }
-        let results: Vec<Result<Estimate, EngineError>> = results
-            .into_iter()
-            .map(|slot| slot.unwrap_or(Err(EngineError::Stopped)))
-            .collect();
-        let ok = results.iter().filter(|r| r.is_ok()).count() as u64;
-        self.shared.served.fetch_add(ok, Ordering::Relaxed);
-        self.shared
-            .errors
-            .fetch_add(total as u64 - ok, Ordering::Relaxed);
-        results
-    }
-
-    /// Look up (or build) the fixed-point lowering of `model`. Unlike
-    /// the compiled cache there is no worker-local layer — the fixed
-    /// tier runs on submitting threads — and a failed lowering is cached
-    /// as `None` so it is attempted once per model version.
-    fn fixed_entry(&self, model: &Arc<StoredModel>) -> FixedEntry {
-        let cache_key = Arc::as_ptr(model) as usize;
-        self.shared
-            .fixed
-            .lock()
-            .expect("fixed cache poisoned")
-            .entry(cache_key)
-            .or_insert_with(|| FixedEntry {
-                _model: Arc::clone(model),
-                fixed: FixedModel::lower(&model.params, FIXED_FEATURE_MAX)
-                    .ok()
-                    .map(Arc::new),
-                half_width: prediction_half_width(model),
-                family: intern_family(&model.key.family),
-                version: model.version,
-                width: model.params.width(),
-            })
-            .clone()
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
+        answers
     }
 
     /// Requests answered successfully.
     pub fn served(&self) -> u64 {
-        self.shared.served.load(Ordering::Relaxed)
+        self.served.load(Ordering::Relaxed)
     }
 
     /// Requests answered with an error.
     pub fn errors(&self) -> u64 {
-        self.shared.errors.load(Ordering::Relaxed)
+        self.errors.load(Ordering::Relaxed)
     }
-}
-
-impl Drop for InferenceEngine {
-    fn drop(&mut self) {
-        // `drop` holds `&mut self`, so no estimate call is in flight:
-        // workers drain any stragglers, observe `stop`, and exit.
-        self.shared.stop.store(true, Ordering::Release);
-        for queue in &self.shared.queues {
-            queue.ready.notify_all();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Per-worker compiled-predictor cache. Keyed by the `Arc` allocation
-/// address of the stored model — no per-request key cloning; the held
-/// `Arc` keeps the address valid for the cache's lifetime.
-type LocalCompiledCache = HashMap<usize, CompiledEntry>;
-
-fn worker_loop(shared: &EngineShared, me: usize, metrics: &EngineMetrics) {
-    let mut compiled: LocalCompiledCache = HashMap::new();
-    let n = shared.queues.len();
-    loop {
-        // Own queue first, then a steal sweep over the neighbours.
-        let mut job = shared.queues[me].pop();
-        if job.is_none() {
-            for k in 1..n {
-                job = shared.queues[(me + k) % n].pop();
-                if job.is_some() {
-                    break;
-                }
-            }
-        }
-        let Some(job) = job else {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let guard = shared.queues[me]
-                .jobs
-                .lock()
-                .expect("worker queue poisoned");
-            if guard.is_empty() {
-                // Timed wait: bounds the lost-wakeup window and paces the
-                // steal sweep while idle.
-                let _ = shared.queues[me].ready.wait_timeout(guard, IDLE_POLL);
-            }
-            continue;
-        };
-        if let Some(enqueued) = job.enqueued {
-            metrics.queue_wait.record(enqueued.elapsed());
-        }
-        job.mark_dequeued();
-        let outcome = {
-            // Adopt the originating request's trace for the duration of
-            // the computation so substrate spans land in it too.
-            let _trace_scope = trace::scope(job.trace.as_ref());
-            let _compute_trace = TraceSpan::enter("engine.compute");
-            let _compute = Span::enter(&metrics.compute);
-            answer(&job, &mut compiled, shared)
-        };
-        if outcome.is_ok() {
-            shared.served.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        job.finish(outcome);
-    }
-}
-
-/// Look up (or build) the compiled form of `model`: worker-local cache
-/// first, then the engine-wide cache, compiling outside the shared lock
-/// on a double miss. Two workers racing on a brand-new model may both
-/// compile; the loser's copy is dropped — benign, and it keeps the lock
-/// out of the lowering pass.
-fn compiled_entry<'c>(
-    model: &Arc<StoredModel>,
-    local: &'c mut LocalCompiledCache,
-    shared: &EngineShared,
-) -> Result<&'c CompiledEntry, EngineError> {
-    let cache_key = Arc::as_ptr(model) as usize;
-    if let std::collections::hash_map::Entry::Vacant(slot) = local.entry(cache_key) {
-        let cached = shared
-            .compiled
-            .lock()
-            .expect("compiled cache poisoned")
-            .get(&cache_key)
-            .cloned();
-        let entry = match cached {
-            Some(entry) => entry,
-            None => {
-                let compiled = CompiledModel::compile(&model.params)
-                    .map_err(|e| EngineError::Model(e.to_string()))?;
-                let entry = CompiledEntry {
-                    _model: Arc::clone(model),
-                    compiled: Arc::new(compiled),
-                    half_width: prediction_half_width(model),
-                    family: intern_family(&model.key.family),
-                    version: model.version,
-                    width: model.params.width(),
-                };
-                shared
-                    .compiled
-                    .lock()
-                    .expect("compiled cache poisoned")
-                    .insert(cache_key, entry.clone());
-                entry
-            }
-        };
-        slot.insert(entry);
-    }
-    Ok(local.get(&cache_key).expect("just inserted"))
-}
-
-fn answer(
-    job: &Job,
-    local: &mut LocalCompiledCache,
-    shared: &EngineShared,
-) -> Result<Estimate, EngineError> {
-    let entry = compiled_entry(&job.model, local, shared)?;
-    if job.counts.len() != entry.width {
-        return Err(EngineError::Shape {
-            expected: entry.width,
-            got: job.counts.len(),
-        });
-    }
-    if job.counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
-        return Err(EngineError::BadCount);
-    }
-    let joules = entry.compiled.predict_one(&job.counts).max(0.0);
-    Ok(Estimate {
-        joules,
-        ci_half_width: entry.half_width,
-        family: entry.family.clone(),
-        version: entry.version,
-    })
 }
 
 /// 95 % prediction half-width from the model's training residuals.
@@ -936,6 +447,7 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use pmca_mlkit::export::ModelParams;
+    use std::sync::Weak;
 
     fn registered(coeffs: &[f64], residual_std: f64, rows: usize) -> Arc<StoredModel> {
         let mut registry = Registry::new();
@@ -1001,16 +513,32 @@ mod tests {
     }
 
     #[test]
-    fn batches_preserve_order_across_workers() {
-        let engine = InferenceEngine::new(4);
+    fn core_rows_keep_their_order_and_their_own_errors() {
+        let engine = InferenceEngine::new(1);
         let model = registered(&[1.0], 0.0, 10);
-        let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
-        let answers = engine.estimate_batch(&model, rows);
-        assert_eq!(answers.len(), 64);
-        for (i, answer) in answers.iter().enumerate() {
-            assert!((answer.as_ref().unwrap().joules - i as f64).abs() < 1e-12);
-        }
+        let mut rows: Vec<Row> = (0..64).map(|i| (vec![f64::from(i)], None)).collect();
+        rows.insert(5, (vec![1.0, 2.0], None)); // shape error
+        rows.insert(40, (vec![f64::INFINITY], None)); // bad count
+        let answers = engine.estimate_rows(&model, Tier::F64, &rows);
+        assert_eq!(answers.len(), 66);
+        assert_eq!(
+            answers[5],
+            Err(EngineError::Shape {
+                expected: 1,
+                got: 2
+            })
+        );
+        assert_eq!(answers[40], Err(EngineError::BadCount));
+        let values: Vec<f64> = answers
+            .iter()
+            .filter_map(|answer| answer.as_ref().ok().map(|e| e.joules))
+            .collect();
+        assert_eq!(values, (0..64).map(f64::from).collect::<Vec<_>>());
         assert_eq!(engine.served(), 64);
+        assert_eq!(engine.errors(), 2);
+        // An empty batch answers nothing and counts nothing.
+        assert!(engine.estimate_rows(&model, Tier::Fixed, &[]).is_empty());
+        assert_eq!(engine.served() + engine.errors(), 66);
     }
 
     #[test]
@@ -1035,7 +563,7 @@ mod tests {
     #[test]
     fn registry_backed_engines_attribute_time() {
         let registry = MetricsRegistry::new();
-        let engine = InferenceEngine::with_registry(2, &registry);
+        let engine = InferenceEngine::with_registry(&registry);
         let model = registered(&[1.0], 0.0, 10);
         let _ = engine.estimate(&model, vec![1.0]).unwrap();
         let lines = registry.render();
@@ -1043,38 +571,6 @@ mod tests {
             lines.contains(&"pmca_engine_compute_seconds_count 1".to_string()),
             "{lines:?}"
         );
-        assert!(
-            lines.contains(&"pmca_engine_queue_wait_seconds_count 1".to_string()),
-            "{lines:?}"
-        );
-    }
-
-    #[test]
-    fn traces_cross_the_worker_channel_and_attribute_queue_wait() {
-        use pmca_obs::TracerConfig;
-
-        let tracer = TracerConfig::new().build().unwrap();
-        let engine = InferenceEngine::new(2);
-        let model = registered(&[1.0], 0.0, 10);
-        let request_trace = tracer.start("estimate", &[]).unwrap();
-        {
-            let _scope = trace::scope(Some(&request_trace));
-            let _ = engine.estimate(&model, vec![1.0]).unwrap();
-        }
-        tracer.finish(&request_trace);
-        let completed = tracer.slowest().expect("trace finished");
-        let names: Vec<&str> = completed.events.iter().map(|e| e.name.as_str()).collect();
-        // Queue stage opened on the submitting thread, closed by the
-        // worker; compute bracketed on the worker thread.
-        assert!(names.contains(&"engine.queue"), "{names:?}");
-        assert!(names.contains(&"engine.compute"), "{names:?}");
-        let durations = completed.span_durations();
-        for stage in ["engine.queue", "engine.compute"] {
-            assert!(
-                durations.iter().any(|(name, _)| name == stage),
-                "{stage} missing from {durations:?}"
-            );
-        }
     }
 
     #[test]
@@ -1082,17 +578,17 @@ mod tests {
         use pmca_obs::TracerConfig;
 
         let tracer = TracerConfig::new().build().unwrap();
-        let engine = InferenceEngine::new(4);
+        let engine = InferenceEngine::new(1);
         let model = registered(&[1.0], 0.0, 10);
         let traces: Vec<ActiveTrace> = (0..8)
             .map(|_| tracer.start("estimate", &[]).unwrap())
             .collect();
-        let rows = traces
+        let rows: Vec<Row> = traces
             .iter()
             .enumerate()
             .map(|(i, trace)| (vec![i as f64], Some(trace.clone())))
             .collect();
-        let answers = engine.estimate_batch_traced(&model, rows);
+        let answers = engine.estimate_rows(&model, Tier::F64, &rows);
         assert!(answers.iter().all(Result::is_ok));
         for trace in &traces {
             tracer.finish(trace);
@@ -1100,26 +596,30 @@ mod tests {
         let recent = tracer.recent();
         assert_eq!(recent.len(), 8);
         for completed in recent {
-            let durations = completed.span_durations();
-            // Each request trace got exactly its own queue + compute pair.
-            for stage in ["engine.queue", "engine.compute"] {
-                assert_eq!(
-                    completed.events.iter().filter(|e| e.name == stage).count(),
-                    2,
-                    "{stage} events in {:?}",
-                    completed.events
-                );
-                assert!(durations.iter().any(|(name, _)| name == stage));
-            }
+            // Each request trace got exactly its own compute stage.
+            assert_eq!(
+                completed
+                    .events
+                    .iter()
+                    .filter(|e| e.name == "engine.compute")
+                    .count(),
+                2,
+                "{:?}",
+                completed.events
+            );
+            assert!(completed
+                .span_durations()
+                .iter()
+                .any(|(name, _)| name == "engine.compute"));
         }
     }
 
     #[test]
     fn disabled_registries_keep_the_engine_clock_free() {
         let registry = MetricsRegistry::disabled();
-        let engine = InferenceEngine::with_registry(1, &registry);
+        let engine = InferenceEngine::with_registry(&registry);
         assert!(
-            engine.stamp().is_none(),
+            !engine.metrics.compute.enabled() && !engine.metrics.fixed_batch.enabled(),
             "no clock read when metrics are off"
         );
         let model = registered(&[1.0], 0.0, 10);
@@ -1130,37 +630,33 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_never_drops_or_doubles_jobs() {
-        // Hammer a 4-worker engine from 8 submitter threads. Every
-        // submitted job must be answered exactly once with its own row's
-        // arithmetic: served == submitted proves no job was dropped, and
-        // the per-request value check proves no reply was cross-wired or
-        // double-delivered into another request's slot.
-        let engine = Arc::new(InferenceEngine::new(4));
-        let model = registered(&[1.0], 0.0, 10);
-        let submitters = 8;
-        let per_thread = 500u32;
-        let handles: Vec<_> = (0..submitters)
-            .map(|t| {
-                let engine = Arc::clone(&engine);
-                let model = Arc::clone(&model);
-                thread::spawn(move || {
-                    for i in 0..per_thread {
-                        let v = f64::from(t * per_thread + i);
-                        let estimate = engine.estimate(&model, vec![v]).unwrap();
-                        assert!((estimate.joules - v).abs() < 1e-12);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(
-            engine.served(),
-            u64::from(submitters) * u64::from(per_thread)
+    fn dropped_versions_are_not_pinned_by_the_engine() {
+        // Once the store and every caller let go of a version, nothing
+        // the engine derived from it may keep it alive.
+        let engine = InferenceEngine::new(1);
+        let mut registry = Registry::new();
+        let model = registry.register(
+            "skylake",
+            "online",
+            vec!["E0".to_string(), "E1".to_string()],
+            0.5,
+            20,
+            ModelParams::Linear {
+                coefficients: vec![2.0e-9, 1.0e-9],
+                intercept: 0.0,
+            },
         );
-        assert_eq!(engine.errors(), 0);
+        let row = vec![1.0e10, 2.0e9];
+        engine.estimate(&model, row.clone()).unwrap();
+        engine.estimate_fixed(&model, row).unwrap();
+        let _ = model.shared_events();
+        let weak: Weak<StoredModel> = Arc::downgrade(&model);
+        drop(registry);
+        drop(model);
+        assert!(
+            weak.upgrade().is_none(),
+            "the engine pins a dropped version"
+        );
     }
 
     #[test]
@@ -1191,12 +687,12 @@ mod tests {
     fn fixed_batches_preserve_order_and_report_per_row_errors() {
         let engine = InferenceEngine::new(2);
         let model = registered(&[1.0e-9], 0.0, 10);
-        let mut rows: Vec<(Vec<f64>, Option<ActiveTrace>)> = (0..32)
+        let mut rows: Vec<Row> = (0..32)
             .map(|i| (vec![1.0e9 * f64::from(i)], None))
             .collect();
         rows.insert(7, (vec![1.0, 2.0], None)); // shape error
         rows.insert(21, (vec![-3.0], None)); // bad count
-        let answers = engine.estimate_batch_fixed_traced(&model, rows);
+        let answers = engine.estimate_rows(&model, Tier::Fixed, &rows);
         assert_eq!(answers.len(), 34);
         assert!(matches!(answers[7], Err(EngineError::Shape { .. })));
         assert_eq!(answers[21], Err(EngineError::BadCount));
@@ -1264,12 +760,12 @@ mod tests {
         use pmca_obs::TracerConfig;
 
         let registry = MetricsRegistry::new();
-        let engine = InferenceEngine::with_registry(1, &registry);
+        let engine = InferenceEngine::with_registry(&registry);
         let model = registered(&[1.0e-9], 0.0, 10);
         let tracer = TracerConfig::new().build().unwrap();
         let request_trace = tracer.start("estimate", &[]).unwrap();
         let rows = vec![(vec![1.0e9], Some(request_trace.clone()))];
-        let answers = engine.estimate_batch_fixed_traced(&model, rows);
+        let answers = engine.estimate_rows(&model, Tier::Fixed, &rows);
         assert!(answers[0].is_ok());
         tracer.finish(&request_trace);
         let completed = tracer.slowest().expect("trace finished");

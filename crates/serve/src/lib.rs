@@ -7,8 +7,9 @@
 //! - [`registry`] — a versioned store of trained model artifacts keyed by
 //!   (platform, PMC set, model family), persisted as plain text under
 //!   `results/registry/`;
-//! - [`engine`] — a fixed pool of worker threads answering "PMC vector →
-//!   dynamic energy (J) ± 95 % prediction interval" requests;
+//! - [`engine`] — answers "PMC vector → dynamic energy (J) ± 95 %
+//!   prediction interval" requests on the calling thread, on an f64 or a
+//!   fixed-point tier;
 //! - [`cache`] — a memo of simulator collection runs keyed by
 //!   (application fingerprint, platform, seed, event set), with hit/miss
 //!   counters;
@@ -30,10 +31,10 @@
 //! Everything is `std`-only — threads and channels, no external runtime.
 //! Observability comes from the sibling `pmca-obs` crate: aggregate
 //! metrics (latency histograms, hit/miss/error counters) exposed via the
-//! `METRICS` command, and per-request traces — queue wait, cache lookup,
-//! model compute, and substrate simulation attributed to each request —
-//! retained in a flight recorder and dumped as JSONL via the `TRACE`
-//! command. Build with
+//! `METRICS` command, and per-request traces — registry lookup, cache
+//! lookup, model compute, and substrate simulation attributed to each
+//! request — retained in a flight recorder and dumped as JSONL via the
+//! `TRACE` command. Build with
 //! [`ServiceConfig::metrics(false)`](service::ServiceConfig::metrics) /
 //! [`ServiceConfig::tracing(false)`](service::ServiceConfig::tracing)
 //! to run with inert instruments.
@@ -46,7 +47,6 @@
 //!
 //! let service = Arc::new(
 //!     ServiceConfig::default()
-//!         .workers(2)
 //!         .cache_capacity(64)
 //!         .seed(42)
 //!         .build()
@@ -91,8 +91,7 @@ pub use protocol::{
 pub use registry::{ModelKey, Registry, RegistryError, StoredModel};
 pub use server::Server;
 pub use service::{
-    BatchRequest, BatchRequestRef, EnergyService, ServiceConfig, ServiceError, ServiceStats,
-    Transport,
+    BatchRequestRef, EnergyService, ServiceConfig, ServiceError, ServiceStats, Transport,
 };
 pub use shard::ShardRouter;
 pub use store::{FileStore, MemoryStore, ModelStore, RegistrySnapshot};

@@ -948,8 +948,7 @@ pub fn ok_estimate_into(estimate: &Estimate, out: &mut String) {
 pub fn ok_stats(stats: &ServiceStats) -> String {
     format!(
         "OK served={} errors={} cache-hits={} cache-misses={} cache-evictions={} \
-         cache-entries={} models={} workers={} streams={} stream-refits={} \
-         stream-drift-refits={}",
+         cache-entries={} models={} streams={} stream-refits={} stream-drift-refits={}",
         stats.served,
         stats.errors,
         stats.cache_hits,
@@ -957,7 +956,6 @@ pub fn ok_stats(stats: &ServiceStats) -> String {
         stats.cache_evictions,
         stats.cache_entries,
         stats.models,
-        stats.workers,
         stats.streams,
         stats.stream_refits,
         stats.stream_drift_refits
@@ -1090,8 +1088,6 @@ pub struct ShardInfo {
     pub errors: u64,
     /// Run-cache entries held by this shard.
     pub cache_entries: usize,
-    /// Inference worker threads in this shard's engine.
-    pub workers: usize,
 }
 
 /// The `key=value` fields of one shard's `SHARDS` row. An empty
@@ -1104,15 +1100,8 @@ pub fn shard_info_fields(info: &ShardInfo) -> String {
         info.owns.join(",")
     };
     format!(
-        "shard={} owns={} models={} streams={} served={} errors={} cache-entries={} workers={}",
-        info.shard,
-        owns,
-        info.models,
-        info.streams,
-        info.served,
-        info.errors,
-        info.cache_entries,
-        info.workers
+        "shard={} owns={} models={} streams={} served={} errors={} cache-entries={}",
+        info.shard, owns, info.models, info.streams, info.served, info.errors, info.cache_entries
     )
 }
 
@@ -1155,7 +1144,6 @@ pub fn parse_shard_info(line: &str) -> Result<ShardInfo, ProtocolError> {
         served: number(get("served")?, "served", line)?,
         errors: number(get("errors")?, "errors", line)?,
         cache_entries: number(get("cache-entries")?, "cache-entries", line)?,
-        workers: number(get("workers")?, "workers", line)?,
     })
 }
 
@@ -1781,7 +1769,6 @@ mod tests {
             served: 1_234,
             errors: 1,
             cache_entries: 42,
-            workers: 2,
         };
         let row = shard_info_fields(&info);
         assert_eq!(parse_shard_info(&row).unwrap(), info);
@@ -1856,14 +1843,13 @@ mod tests {
             cache_evictions: 0,
             cache_entries: 2,
             models: 3,
-            workers: 4,
             streams: 12,
             stream_refits: 2,
             stream_drift_refits: 1,
         };
         let reply = ok_stats(&stats);
         let fields = parse_ok_fields(&reply).unwrap();
-        assert_eq!(fields.len(), 11);
+        assert_eq!(fields.len(), 10);
         assert!(fields.contains(&("served", "10")));
         assert!(fields.contains(&("cache-hits", "5")));
         assert!(fields.contains(&("cache-evictions", "0")));

@@ -8,6 +8,7 @@
 //! directory, conventionally `results/registry/`, wrapping the
 //! `pmca_mlkit::export` model format with registry metadata lines.
 
+use crate::engine::Lowering;
 use pmca_mlkit::export::{self, ModelParams};
 use pmca_obs::trace;
 use pmca_obs::{Counter, MetricsRegistry};
@@ -16,7 +17,7 @@ use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identity of a model line in the registry: every version of the same
 /// (platform, PMC set, family) shares one key. PMC names are kept sorted
@@ -72,6 +73,51 @@ pub struct StoredModel {
     pub training_rows: usize,
     /// The model parameters themselves.
     pub params: ModelParams,
+    /// What serving derives from this version, built on first use.
+    pub(crate) derived: Derived,
+}
+
+impl StoredModel {
+    /// The feature-name list app-level run-cache keys share, so building
+    /// a key clones an `Arc` rather than the whole name vector.
+    pub(crate) fn shared_events(&self) -> Arc<Vec<String>> {
+        Arc::clone(
+            self.derived
+                .events
+                .get_or_init(|| Arc::new(self.feature_order.clone())),
+        )
+    }
+}
+
+/// Serving state derived from one [`StoredModel`]: the engine's lowering
+/// and the run-cache event list. It lives inside the version it derives
+/// from, so it is dropped with that version and no cache elsewhere has
+/// to hold the version alive. Clones start empty and equality ignores
+/// it — it is a function of the public fields.
+#[derive(Default)]
+pub(crate) struct Derived {
+    pub(crate) lowering: OnceLock<Lowering>,
+    events: OnceLock<Arc<Vec<String>>>,
+}
+
+impl Clone for Derived {
+    fn clone(&self) -> Self {
+        Derived::default()
+    }
+}
+
+impl PartialEq for Derived {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Derived {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Derived")
+            .field("lowered", &self.lowering.get().is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Registry errors (I/O and format problems surfaced on save/load).
@@ -203,6 +249,7 @@ impl Registry {
             residual_std,
             training_rows,
             params,
+            derived: Derived::default(),
         });
         versions.push(Arc::clone(&stored));
         stored
@@ -481,6 +528,7 @@ pub fn decode_entry(text: &str) -> Result<StoredModel, RegistryError> {
         residual_std: residual_std.ok_or_else(|| malformed("missing residual-std"))?,
         training_rows: training_rows.ok_or_else(|| malformed("missing training-rows"))?,
         params,
+        derived: Derived::default(),
     })
 }
 

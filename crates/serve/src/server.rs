@@ -107,7 +107,6 @@ impl Server {
             "listening",
             &[
                 ("addr", &local_addr.to_string()),
-                ("workers", &primary.stats().workers.to_string()),
                 ("transport", transport.as_str()),
                 ("shards", &router.shard_count().to_string()),
             ],
@@ -285,7 +284,6 @@ mod tests {
     fn service_with_model() -> Arc<EnergyService> {
         let service = Arc::new(
             ServiceConfig::default()
-                .workers(2)
                 .cache_capacity(16)
                 .seed(7)
                 .build()
@@ -428,7 +426,6 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let service = Arc::new(
             ServiceConfig::default()
-                .workers(1)
                 .cache_capacity(8)
                 .build_with_registry(Arc::clone(&registry))
                 .unwrap(),
@@ -464,7 +461,6 @@ mod tests {
     fn evented_service_with_model() -> Arc<EnergyService> {
         let service = Arc::new(
             ServiceConfig::default()
-                .workers(2)
                 .cache_capacity(16)
                 .seed(7)
                 .transport(Transport::Evented)

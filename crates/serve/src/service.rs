@@ -4,12 +4,14 @@
 //!
 //! The service owns one simulated [`Machine`] per platform for app-level
 //! collection, a [`ModelStore`] of trained models, an [`InferenceEngine`]
-//! worker pool, and a [`RunCache`] memoising collection runs. Training
+//! answering on the calling thread, and a [`RunCache`] memoising
+//! collection runs. Every estimate, on either tier, goes through one
+//! core, [`EnergyService::estimate_many_ref`]. Training
 //! happens through the paper's online-model path ([`OnlineModel`]), so
 //! every served model is single-run deployable.
 
 use crate::cache::{RunCache, RunKey};
-use crate::engine::{EngineError, Estimate, InferenceEngine};
+use crate::engine::{EngineError, Estimate, InferenceEngine, Row};
 use crate::protocol::{Tier, TraceScope};
 use crate::registry::{self, RegistryError, StoredModel};
 use crate::store::{snapshot_from_dir, FileStore, MemoryStore, ModelStore};
@@ -145,33 +147,10 @@ impl ServiceError {
     }
 }
 
-/// One request in a pipelined batch (see [`EnergyService::estimate_many`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchRequest {
-    /// Counter-level: named PMC counts.
-    Counts {
-        /// Target platform.
-        platform: String,
-        /// `(pmc name, count)` pairs.
-        counts: Vec<(String, f64)>,
-        /// Which inference tier the request asked for.
-        tier: Tier,
-    },
-    /// App-level: a workload spec collected via the run cache.
-    App {
-        /// Target platform.
-        platform: String,
-        /// Workload spec (e.g. `dgemm:12000`).
-        app: String,
-        /// Which inference tier the request asked for.
-        tier: Tier,
-    },
-}
-
-/// Borrowed form of [`BatchRequest`] — what the TCP server builds
-/// straight from the parsed request line, so the serving hot path never
-/// owns a platform, app, or PMC-name `String`
-/// (see [`EnergyService::estimate_many_ref`]).
+/// One estimate request of a batch (see
+/// [`EnergyService::estimate_many_ref`]), borrowing its names — the TCP
+/// server builds it straight from the parsed request line, so the
+/// serving hot path never owns a platform, app, or PMC-name `String`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchRequestRef<'a> {
     /// Counter-level: named PMC counts borrowed from the request line.
@@ -203,6 +182,15 @@ impl BatchRequestRef<'_> {
     }
 }
 
+/// The rows of one estimate batch that one model version answers on one
+/// tier, with each row's position in the batch.
+struct RowGroup {
+    model: Arc<StoredModel>,
+    tier: Tier,
+    positions: Vec<usize>,
+    rows: Vec<Row>,
+}
+
 /// Counters reported by the STATS command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
@@ -220,8 +208,6 @@ pub struct ServiceStats {
     pub cache_entries: usize,
     /// Model versions registered.
     pub models: usize,
-    /// Inference worker threads.
-    pub workers: usize,
     /// Telemetry streams currently open.
     pub streams: usize,
     /// Stream-learned online models published into the store, on the
@@ -231,8 +217,7 @@ pub struct ServiceStats {
     pub stream_drift_refits: u64,
 }
 
-/// Configuration for an [`EnergyService`], replacing the old positional
-/// `EnergyService::new(workers, cache_capacity, seed)` constructor.
+/// Configuration for an [`EnergyService`].
 ///
 /// # Examples
 ///
@@ -240,17 +225,15 @@ pub struct ServiceStats {
 /// use pmca_serve::ServiceConfig;
 ///
 /// let service = ServiceConfig::default()
-///     .workers(8)
 ///     .cache_capacity(512)
 ///     .seed(42)
 ///     .metrics(true)
 ///     .build()
 ///     .expect("service");
-/// assert_eq!(service.stats().workers, 8);
+/// assert_eq!(service.stats().models, 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    workers: usize,
     cache_capacity: usize,
     seed: u64,
     registry_dir: Option<PathBuf>,
@@ -265,22 +248,17 @@ pub struct ServiceConfig {
     event_loops: usize,
     health: bool,
     history_capacity: usize,
-    fast_tier: bool,
 }
 
 impl Default for ServiceConfig {
-    /// Four workers, a 256-run cache, seed 1, no registry directory,
-    /// metrics exported to the process-global registry, tracing on with
-    /// a 64-trace flight recorder (no slow threshold, no JSONL sink),
-    /// streaming enabled with a 5-minute idle TTL, threaded transport
-    /// (with 4 event loops once switched to [`Transport::Evented`]), the
-    /// model-health plane on with a 32-snapshot metrics history, and the
-    /// fixed-point fast tier enabled (requests still default to the f64
-    /// tier; `fast_tier` only governs whether `tier=fixed` requests are
-    /// honoured).
+    /// A 256-run cache, seed 1, no registry directory, metrics exported
+    /// to the process-global registry, tracing on with a 64-trace flight
+    /// recorder (no slow threshold, no JSONL sink), streaming enabled
+    /// with a 5-minute idle TTL, threaded transport (with 4 event loops
+    /// once switched to [`Transport::Evented`]), and the model-health
+    /// plane on with a 32-snapshot metrics history.
     fn default() -> Self {
         ServiceConfig {
-            workers: 4,
             cache_capacity: 256,
             seed: 1,
             registry_dir: None,
@@ -295,18 +273,11 @@ impl Default for ServiceConfig {
             event_loops: 4,
             health: true,
             history_capacity: 32,
-            fast_tier: true,
         }
     }
 }
 
 impl ServiceConfig {
-    /// Inference worker threads (≥ 1; default 4).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Run-cache capacity in entries (≥ 1; default 256).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
@@ -410,15 +381,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Whether `tier=fixed` requests are served by the fixed-point fast
-    /// tier (default `true`). With `false` every request runs the f64
-    /// path regardless of the tier it asked for — an operational kill
-    /// switch, not a protocol change: `tier=fixed` still parses.
-    pub fn fast_tier(mut self, enabled: bool) -> Self {
-        self.fast_tier = enabled;
-        self
-    }
-
     /// Build the service.
     ///
     /// # Errors
@@ -429,7 +391,7 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` or `cache_capacity` is zero.
+    /// Panics if `cache_capacity` is zero.
     pub fn build(self) -> Result<EnergyService, RegistryError> {
         let metrics_registry = if self.metrics {
             Arc::clone(MetricsRegistry::global())
@@ -448,8 +410,7 @@ impl ServiceConfig {
     /// is set); shards 1.. are in-memory replicas restored from the
     /// primary's [`snapshot`](crate::store::ModelStore::snapshot), so
     /// every shard starts from the same model set and routing decides
-    /// ownership. The configured worker count is split across shards
-    /// (at least one worker each).
+    /// ownership.
     ///
     /// # Errors
     ///
@@ -458,7 +419,7 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` or `cache_capacity` is zero.
+    /// Panics if `cache_capacity` is zero.
     pub fn build_sharded(self, shards: usize) -> Result<crate::shard::ShardRouter, RegistryError> {
         let shards = shards.max(1);
         if shards == 1 {
@@ -469,14 +430,12 @@ impl ServiceConfig {
         } else {
             Arc::new(MetricsRegistry::disabled())
         };
-        let mut config = self;
-        config.workers = (config.workers / shards).max(1);
         // Replicas never own the registry directory — the primary is the
         // durable copy; replicas restore from its snapshot below.
-        let mut replica_config = config.clone();
+        let mut replica_config = self.clone();
         replica_config.registry_dir = None;
         replica_config.trace_log = None;
-        let primary = Arc::new(config.build_with_registry(Arc::clone(&metrics_registry))?);
+        let primary = Arc::new(self.build_with_registry(Arc::clone(&metrics_registry))?);
         let snapshot = primary.store().snapshot();
         let mut services = vec![primary];
         for _ in 1..shards {
@@ -558,7 +517,7 @@ impl ServiceConfig {
         };
         Ok(EnergyService {
             store,
-            engine: InferenceEngine::with_registry(self.workers, &metrics_registry),
+            engine: InferenceEngine::with_registry(&metrics_registry),
             cache: RunCache::with_registry(self.cache_capacity, &metrics_registry),
             machines: Mutex::new(HashMap::new()),
             seed: self.seed,
@@ -566,12 +525,10 @@ impl ServiceConfig {
             metrics_registry,
             tracer,
             streams,
-            feature_events: Mutex::new(HashMap::new()),
             transport: self.transport,
             event_loops: self.event_loops,
             health,
             history: HistoryRing::new(self.history_capacity),
-            fast_tier: self.fast_tier,
         })
     }
 }
@@ -633,11 +590,6 @@ pub struct EnergyService {
     /// online models land in `store` via the publish hook installed at
     /// build time.
     streams: Option<Arc<StreamHub>>,
-    /// Per-model shared event list for [`RunKey`]s, keyed by the model
-    /// `Arc`'s address (the held `Arc` keeps the address valid). Building
-    /// a cache key is then one `Arc` clone instead of cloning the model's
-    /// whole feature-name vector on every app-level request.
-    feature_events: Mutex<HashMap<usize, EventMemoEntry>>,
     transport: Transport,
     event_loops: usize,
     /// Model-health plane: calibration/drift trackers and the
@@ -648,14 +600,7 @@ pub struct EnergyService {
     /// Windowed metrics time series behind `HISTORY`, demand-sampled on
     /// each `HEALTH`/`HISTORY` request — no background clock ticks.
     history: HistoryRing,
-    /// Whether `tier=fixed` requests run the fixed-point fast tier;
-    /// when `false` every request takes the f64 path.
-    fast_tier: bool,
 }
-
-/// One [`EnergyService::feature_events`] memo entry: the model `Arc`
-/// anchoring the key address, plus its shared feature-event list.
-type EventMemoEntry = (Arc<StoredModel>, Arc<Vec<String>>);
 
 impl EnergyService {
     fn platform_spec(name: &str) -> Result<PlatformSpec, ServiceError> {
@@ -809,9 +754,11 @@ impl EnergyService {
         self.event_loops
     }
 
-    /// Estimate from named PMC counts. The counter set must exactly match
-    /// a registered model's set (order-insensitive); counts are reordered
-    /// to the model's feature order before inference.
+    /// Estimate from named PMC counts on the f64 tier — a one-request
+    /// [`estimate_many_ref`](EnergyService::estimate_many_ref). The
+    /// counter set must exactly match a registered model's set
+    /// (order-insensitive); counts are reordered to the model's feature
+    /// order before inference.
     ///
     /// # Errors
     ///
@@ -822,75 +769,18 @@ impl EnergyService {
         platform: &str,
         counts: &[(String, f64)],
     ) -> Result<Estimate, ServiceError> {
-        self.estimate_tiered(platform, counts, Tier::F64)
-    }
-
-    /// [`estimate`](EnergyService::estimate) on an explicit inference
-    /// tier. [`Tier::Fixed`] runs the integer fixed-point kernel (when
-    /// the fast tier is enabled and the model lowers) with the stored
-    /// error bound folded into the confidence interval; [`Tier::F64`]
-    /// is byte-identical to `estimate`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError`] when no model matches or the engine
-    /// rejects the request.
-    pub fn estimate_tiered(
-        &self,
-        platform: &str,
-        counts: &[(String, f64)],
-        tier: Tier,
-    ) -> Result<Estimate, ServiceError> {
-        let trace = self.tracer.start("estimate", &[("platform", platform)]);
-        let result = {
-            let _scope = trace::scope(trace.as_ref());
-            let run = || -> Result<Estimate, ServiceError> {
-                let (model, ordered) = self.resolve_counts(platform, counts)?;
-                Ok(match self.effective_tier(tier) {
-                    Tier::F64 => self.engine.estimate(&model, ordered)?,
-                    Tier::Fixed => self.engine.estimate_fixed(&model, ordered)?,
-                })
-            };
-            run().inspect_err(|e| self.note_error(e, trace.as_ref()))
-        };
-        if let Some(trace) = &trace {
-            self.tracer.finish(trace);
-        }
-        result
-    }
-
-    /// The tier a request actually runs on: what it asked for, unless
-    /// the fast tier is disabled service-wide, which pins everything to
-    /// [`Tier::F64`].
-    fn effective_tier(&self, requested: Tier) -> Tier {
-        if self.fast_tier {
-            requested
-        } else {
-            Tier::F64
-        }
-    }
-
-    /// Whether this service honours `tier=fixed` requests (built with
-    /// [`ServiceConfig::fast_tier`]).
-    pub fn fast_tier_enabled(&self) -> bool {
-        self.fast_tier
+        let counts = counts.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        self.estimate_one(BatchRequestRef::Counts {
+            platform,
+            counts,
+            tier: Tier::F64,
+        })
     }
 
     /// Resolve a counter-level request to its model and feature-ordered
-    /// counts, without running inference.
+    /// counts, without running inference. No PMC-name `String` is ever
+    /// built, only the final feature-ordered `Vec<f64>` for the engine.
     fn resolve_counts(
-        &self,
-        platform: &str,
-        counts: &[(String, f64)],
-    ) -> Result<(Arc<StoredModel>, Vec<f64>), ServiceError> {
-        let view: Vec<(&str, f64)> = counts.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        self.resolve_counts_ref(platform, &view)
-    }
-
-    /// [`resolve_counts`](EnergyService::resolve_counts) over borrowed
-    /// names — the hot-path variant: no PMC-name `String` is ever built,
-    /// only the final feature-ordered `Vec<f64>` for the engine.
-    fn resolve_counts_ref(
         &self,
         platform: &str,
         counts: &[(&str, f64)],
@@ -933,63 +823,22 @@ impl EnergyService {
         Ok((model, ordered))
     }
 
-    /// The shared event list used in this model's cache keys, memoised by
-    /// model identity so repeat requests clone an `Arc`, not a
-    /// `Vec<String>`.
-    fn shared_events(&self, model: &Arc<StoredModel>) -> Arc<Vec<String>> {
-        let key = Arc::as_ptr(model) as usize;
-        let mut memo = self.feature_events.lock().expect("event memo poisoned");
-        Arc::clone(
-            &memo
-                .entry(key)
-                .or_insert_with(|| (Arc::clone(model), Arc::new(model.feature_order.clone())))
-                .1,
-        )
-    }
-
-    /// Estimate a whole application's dynamic energy: collect its PMCs on
-    /// the simulated platform (memoised in the run cache), then run the
-    /// latest online model for that platform over the counts.
+    /// Estimate a whole application's dynamic energy on the f64 tier — a
+    /// one-request [`estimate_many_ref`](EnergyService::estimate_many_ref):
+    /// collect its PMCs on the simulated platform (memoised in the run
+    /// cache), then run the latest online model for that platform over
+    /// the counts.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError`] when the platform or workload spec is
     /// invalid or no online model is registered for the platform.
     pub fn estimate_app(&self, platform: &str, app_spec: &str) -> Result<Estimate, ServiceError> {
-        self.estimate_app_tiered(platform, app_spec, Tier::F64)
-    }
-
-    /// [`estimate_app`](EnergyService::estimate_app) on an explicit
-    /// inference tier; [`Tier::F64`] is byte-identical to `estimate_app`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError`] when the platform or workload spec is
-    /// invalid or no online model is registered for the platform.
-    pub fn estimate_app_tiered(
-        &self,
-        platform: &str,
-        app_spec: &str,
-        tier: Tier,
-    ) -> Result<Estimate, ServiceError> {
-        let trace = self
-            .tracer
-            .start("estimate-app", &[("platform", platform), ("app", app_spec)]);
-        let result = {
-            let _scope = trace::scope(trace.as_ref());
-            let run = || -> Result<Estimate, ServiceError> {
-                let (model, counts) = self.resolve_app(platform, app_spec)?;
-                Ok(match self.effective_tier(tier) {
-                    Tier::F64 => self.engine.estimate(&model, counts)?,
-                    Tier::Fixed => self.engine.estimate_fixed(&model, counts)?,
-                })
-            };
-            run().inspect_err(|e| self.note_error(e, trace.as_ref()))
-        };
-        if let Some(trace) = &trace {
-            self.tracer.finish(trace);
-        }
-        result
+        self.estimate_one(BatchRequestRef::App {
+            platform,
+            app: app_spec,
+            tier: Tier::F64,
+        })
     }
 
     /// Resolve an app-level request to its model and collected (cached)
@@ -1009,7 +858,7 @@ impl EnergyService {
             app: app_spec.to_string(),
             platform: platform.to_ascii_lowercase(),
             seed: self.seed,
-            events: self.shared_events(&model),
+            events: model.shared_events(),
         };
         let counts = self.cache.get_or_compute(&key, || {
             let app =
@@ -1028,42 +877,11 @@ impl EnergyService {
         Ok((model, counts.to_vec()))
     }
 
-    /// Answer a pipelined batch in request order. Requests are resolved,
-    /// grouped by the model that will answer them, and submitted to the
-    /// worker pool one group at a time — a batch costs one engine round
-    /// trip per distinct model rather than one per request, which is what
-    /// makes pipelined serving fast on small machines.
-    pub fn estimate_many(&self, requests: &[BatchRequest]) -> Vec<Result<Estimate, ServiceError>> {
-        let refs: Vec<BatchRequestRef<'_>> = requests
-            .iter()
-            .map(|request| match request {
-                BatchRequest::Counts {
-                    platform,
-                    counts,
-                    tier,
-                } => BatchRequestRef::Counts {
-                    platform,
-                    counts: counts.iter().map(|(n, v)| (n.as_str(), *v)).collect(),
-                    tier: *tier,
-                },
-                BatchRequest::App {
-                    platform,
-                    app,
-                    tier,
-                } => BatchRequestRef::App {
-                    platform,
-                    app,
-                    tier: *tier,
-                },
-            })
-            .collect();
-        self.estimate_many_ref(&refs)
-    }
-
-    /// [`estimate_many`](EnergyService::estimate_many) over borrowed
-    /// requests — what the TCP server calls with names still pointing
-    /// into the request lines, so a pipelined warm batch allocates no
-    /// platform/app/PMC-name strings at all.
+    /// Answer a batch of estimate requests in request order — the one
+    /// service core every ESTIMATE and ESTIMATE-APP goes through, with
+    /// names still borrowing the request lines. Requests are resolved,
+    /// grouped by the model and tier that will answer them, and each
+    /// group is evaluated by the engine core on the calling thread.
     pub fn estimate_many_ref(
         &self,
         requests: &[BatchRequestRef<'_>],
@@ -1072,7 +890,7 @@ impl EnergyService {
         // batch interleaves independent requests, so the thread-local
         // current trace would misattribute them. Resolution runs under
         // each request's scope; the engine rows carry their trace
-        // explicitly across the worker queues.
+        // explicitly.
         let traces: Vec<Option<ActiveTrace>> = requests
             .iter()
             .map(|request| match request {
@@ -1085,72 +903,72 @@ impl EnergyService {
             })
             .collect();
         let mut out: Vec<Option<Result<Estimate, ServiceError>>> = vec![None; requests.len()];
-        let mut resolved: Vec<Option<(Arc<StoredModel>, Vec<f64>)>> =
-            Vec::with_capacity(requests.len());
+        // Groups are keyed by (model, tier): a mixed batch costs one
+        // engine call per distinct model per tier, and each tier keeps
+        // its own kernel.
+        let mut groups: Vec<RowGroup> = Vec::new();
         for (i, request) in requests.iter().enumerate() {
-            let result = {
+            let resolved = {
                 let _scope = trace::scope(traces[i].as_ref());
                 match request {
                     BatchRequestRef::Counts {
                         platform, counts, ..
-                    } => self.resolve_counts_ref(platform, counts),
+                    } => self.resolve_counts(platform, counts),
                     BatchRequestRef::App { platform, app, .. } => self.resolve_app(platform, app),
                 }
             };
-            match result {
-                Ok(pair) => resolved.push(Some(pair)),
+            let (model, counts) = match resolved {
+                Ok(pair) => pair,
                 Err(e) => {
                     out[i] = Some(Err(e));
-                    resolved.push(None);
+                    continue;
                 }
-            }
-        }
-        // Groups are keyed by (model, effective tier): a mixed batch
-        // still costs one engine round trip per distinct model per tier,
-        // and each tier keeps its own kernel.
-        let mut groups: Vec<(Arc<StoredModel>, Tier, Vec<usize>)> = Vec::new();
-        for (i, slot) in resolved.iter().enumerate() {
-            if let Some((model, _)) = slot {
-                let tier = self.effective_tier(requests[i].tier());
-                match groups
-                    .iter_mut()
-                    .find(|(m, t, _)| Arc::ptr_eq(m, model) && *t == tier)
-                {
-                    Some((_, _, indices)) => indices.push(i),
-                    None => groups.push((Arc::clone(model), tier, vec![i])),
-                }
-            }
-        }
-        for (model, tier, indices) in groups {
-            let rows: Vec<(Vec<f64>, Option<ActiveTrace>)> = indices
-                .iter()
-                .map(|&i| {
-                    (
-                        resolved[i].take().expect("resolved above").1,
-                        traces[i].clone(),
-                    )
-                })
-                .collect();
-            let answers = match tier {
-                Tier::F64 => self.engine.estimate_batch_traced(&model, rows),
-                Tier::Fixed => self.engine.estimate_batch_fixed_traced(&model, rows),
             };
-            for (&i, result) in indices.iter().zip(answers) {
-                out[i] = Some(result.map_err(ServiceError::Engine));
+            let tier = request.tier();
+            let row = (counts, traces[i].clone());
+            match groups
+                .iter_mut()
+                .find(|g| Arc::ptr_eq(&g.model, &model) && g.tier == tier)
+            {
+                Some(group) => {
+                    group.positions.push(i);
+                    group.rows.push(row);
+                }
+                None => groups.push(RowGroup {
+                    model,
+                    tier,
+                    positions: vec![i],
+                    rows: vec![row],
+                }),
+            }
+        }
+        for group in groups {
+            let answers = self
+                .engine
+                .estimate_rows(&group.model, group.tier, &group.rows);
+            for (i, answer) in group.positions.into_iter().zip(answers) {
+                out[i] = Some(answer.map_err(ServiceError::Engine));
             }
         }
         let results: Vec<Result<Estimate, ServiceError>> = out
             .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or(Err(ServiceError::Engine(EngineError::Stopped)))
-                    .inspect_err(|e| self.note_error(e, traces[i].as_ref()))
+            .zip(&traces)
+            .map(|(slot, trace)| {
+                slot.expect("every request is resolved or answered")
+                    .inspect_err(|e| self.note_error(e, trace.as_ref()))
             })
             .collect();
         for trace in traces.iter().flatten() {
             self.tracer.finish(trace);
         }
         results
+    }
+
+    /// [`estimate_many_ref`](EnergyService::estimate_many_ref) for one
+    /// request.
+    fn estimate_one(&self, request: BatchRequestRef<'_>) -> Result<Estimate, ServiceError> {
+        let mut answers = self.estimate_many_ref(&[request]);
+        answers.pop().expect("one answer per request")
     }
 
     /// Render the service's metrics registry as Prometheus-style
@@ -1261,7 +1079,6 @@ impl EnergyService {
             cache_evictions: self.cache.evictions(),
             cache_entries: self.cache.len(),
             models,
-            workers: self.engine.workers(),
             streams: self.streams.as_ref().map_or(0, |hub| hub.open_streams()),
             stream_refits: self.streams.as_ref().map_or(0, |hub| hub.publications()),
             stream_drift_refits: self.streams.as_ref().map_or(0, |hub| hub.drift_refits()),
@@ -1469,7 +1286,6 @@ mod tests {
 
     fn trained_service() -> EnergyService {
         let service = ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(42)
             .build()
@@ -1519,7 +1335,11 @@ mod tests {
             .collect();
         let slow = service.estimate("skylake", &counts).unwrap();
         let fast = service
-            .estimate_tiered("skylake", &counts, Tier::Fixed)
+            .estimate_one(BatchRequestRef::Counts {
+                platform: "skylake",
+                counts: counts.iter().map(|(n, v)| (n.as_str(), *v)).collect(),
+                tier: Tier::Fixed,
+            })
             .unwrap();
         // The bound the engine folded into the interval is exactly the
         // interval growth, and the answers agree within it.
@@ -1532,51 +1352,15 @@ mod tests {
             slow.joules
         );
         // A mixed batch groups per tier and answers both correctly.
-        let refs: Vec<(String, f64)> = counts.clone();
-        let requests = vec![
-            BatchRequest::Counts {
-                platform: "skylake".to_string(),
-                counts: refs.clone(),
-                tier: Tier::F64,
-            },
-            BatchRequest::Counts {
-                platform: "skylake".to_string(),
-                counts: refs,
-                tier: Tier::Fixed,
-            },
-        ];
-        let results = service.estimate_many(&requests);
+        let refs: Vec<(&str, f64)> = counts.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        let requests = [Tier::F64, Tier::Fixed].map(|tier| BatchRequestRef::Counts {
+            platform: "skylake",
+            counts: refs.clone(),
+            tier,
+        });
+        let results = service.estimate_many_ref(&requests);
         assert_eq!(results[0].as_ref().unwrap(), &slow);
         assert_eq!(results[1].as_ref().unwrap(), &fast);
-    }
-
-    #[test]
-    fn disabled_fast_tier_pins_every_request_to_f64() {
-        let service = ServiceConfig::default()
-            .workers(2)
-            .cache_capacity(64)
-            .seed(42)
-            .fast_tier(false)
-            .build()
-            .unwrap();
-        service
-            .train_online("skylake", &good_set(), &ladder())
-            .unwrap();
-        assert!(!service.fast_tier_enabled());
-        let stored = service
-            .store()
-            .latest_of_family("skylake", "online")
-            .unwrap();
-        let counts: Vec<(String, f64)> = stored
-            .feature_order
-            .iter()
-            .map(|n| (n.clone(), 2.5e10))
-            .collect();
-        let slow = service.estimate("skylake", &counts).unwrap();
-        let pinned = service
-            .estimate_tiered("skylake", &counts, Tier::Fixed)
-            .unwrap();
-        assert_eq!(pinned, slow, "kill switch forces the f64 path");
     }
 
     #[test]
@@ -1597,11 +1381,7 @@ mod tests {
 
     #[test]
     fn errors_are_specific() {
-        let service = ServiceConfig::default()
-            .workers(1)
-            .cache_capacity(8)
-            .build()
-            .unwrap();
+        let service = ServiceConfig::default().cache_capacity(8).build().unwrap();
         assert!(matches!(
             service.estimate("epyc", &[("X".to_string(), 1.0)]),
             Err(ServiceError::UnknownPlatform(_))
@@ -1663,7 +1443,6 @@ mod tests {
         assert_eq!(service.save_registry(&dir).unwrap(), 1);
 
         let revived = ServiceConfig::default()
-            .workers(1)
             .cache_capacity(8)
             .seed(42)
             .registry_dir(&dir)
@@ -1696,12 +1475,7 @@ mod tests {
             |t: &Trace| -> Vec<String> { t.events.iter().map(|e| e.name.clone()).collect() };
         // First app estimate misses the cache and fills it (one full
         // simulated collection run inside `cache.fill`).
-        for stage in [
-            "cache.lookup",
-            "cache.fill",
-            "engine.queue",
-            "engine.compute",
-        ] {
+        for stage in ["cache.lookup", "cache.fill", "engine.compute"] {
             assert!(
                 names(miss).contains(&stage.to_string()),
                 "{:?}",
@@ -1722,11 +1496,7 @@ mod tests {
 
     #[test]
     fn traced_errors_are_marked_with_their_kind() {
-        let service = ServiceConfig::default()
-            .workers(1)
-            .cache_capacity(8)
-            .build()
-            .unwrap();
+        let service = ServiceConfig::default().cache_capacity(8).build().unwrap();
         let _ = service.estimate("epyc", &[("X".to_string(), 1.0)]);
         let trace = service.tracer().slowest().expect("error request traced");
         assert!(trace.events.iter().any(|e| e.name == "error"
@@ -1737,19 +1507,12 @@ mod tests {
     #[test]
     fn batch_requests_each_get_their_own_trace() {
         let service = trained_service();
-        let requests = vec![
-            BatchRequest::App {
-                platform: "skylake".to_string(),
-                app: "dgemm:11500".to_string(),
-                tier: Tier::F64,
-            },
-            BatchRequest::App {
-                platform: "epyc".to_string(),
-                app: "dgemm:11500".to_string(),
-                tier: Tier::F64,
-            },
-        ];
-        let results = service.estimate_many(&requests);
+        let requests = ["skylake", "epyc"].map(|platform| BatchRequestRef::App {
+            platform,
+            app: "dgemm:11500",
+            tier: Tier::F64,
+        });
+        let results = service.estimate_many_ref(&requests);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
         let recent = service.tracer().recent();
@@ -1761,7 +1524,6 @@ mod tests {
     #[test]
     fn tracing_off_services_retain_nothing() {
         let service = ServiceConfig::default()
-            .workers(1)
             .cache_capacity(8)
             .tracing(false)
             .build()
@@ -1775,7 +1537,6 @@ mod tests {
     #[test]
     fn metrics_off_services_render_inert_instruments() {
         let service = ServiceConfig::default()
-            .workers(1)
             .cache_capacity(8)
             .metrics(false)
             .build()
@@ -1797,11 +1558,7 @@ mod tests {
 
     #[test]
     fn metrics_on_services_count_errors_by_kind() {
-        let service = ServiceConfig::default()
-            .workers(1)
-            .cache_capacity(8)
-            .build()
-            .unwrap();
+        let service = ServiceConfig::default().cache_capacity(8).build().unwrap();
         assert!(service.metrics_enabled());
         let _ = service.estimate("epyc", &[("X".to_string(), 1.0)]);
         let lines = service.metrics_lines();

@@ -146,7 +146,6 @@ impl ShardRouter {
                     served: stats.served,
                     errors: stats.errors,
                     cache_entries: stats.cache_entries,
-                    workers: stats.workers,
                 }
             })
             .collect()
@@ -168,7 +167,6 @@ mod tests {
             .map(|i| {
                 Arc::new(
                     ServiceConfig::default()
-                        .workers(1)
                         .cache_capacity(8)
                         .seed(40 + i as u64)
                         .build()
@@ -226,7 +224,6 @@ mod tests {
         assert_eq!(owned.len(), 2, "both platforms are owned: {infos:?}");
         for (index, info) in infos.iter().enumerate() {
             assert_eq!(info.shard, index);
-            assert_eq!(info.workers, 1);
         }
         let lines = router.shard_lines();
         assert!(lines[0].starts_with("shard=0 owns="), "{lines:?}");

@@ -1,4 +1,4 @@
-//! In-process energy estimation service: registry + worker pool, no TCP.
+//! In-process energy estimation service: registry + inference engine, no TCP.
 //!
 //! Trains an online model on the simulated Skylake, registers it,
 //! persists the registry to disk, revives it in a second service, and
@@ -18,7 +18,6 @@ const GOOD_SET: [&str; 4] = [
 
 fn main() {
     let service = ServiceConfig::default()
-        .workers(4)
         .cache_capacity(256)
         .seed(42)
         .build()
@@ -70,7 +69,6 @@ fn main() {
     let dir = std::env::temp_dir().join("pmca-energy-service-example");
     let written = service.save_registry(&dir).expect("save registry");
     let revived = ServiceConfig::default()
-        .workers(2)
         .cache_capacity(64)
         .seed(42)
         .registry_dir(&dir)
@@ -92,14 +90,13 @@ fn main() {
     let stats = service.stats();
     println!(
         "stats: served={} errors={} cache-hits={} cache-misses={} cache-evictions={} \
-         models={} workers={}",
+         models={}",
         stats.served,
         stats.errors,
         stats.cache_hits,
         stats.cache_misses,
         stats.cache_evictions,
-        stats.models,
-        stats.workers
+        stats.models
     );
 
     // The same instruments the METRICS protocol command exposes.

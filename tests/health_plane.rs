@@ -54,7 +54,6 @@ fn additivity_rows(rows: &[HealthRow]) -> Vec<(Option<usize>, &pmca_serve::Addit
 fn train_holdout_and_labelled_streams_populate_health_over_tcp() {
     let service = Arc::new(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(17)
             .build()
@@ -129,7 +128,6 @@ fn train_holdout_and_labelled_streams_populate_health_over_tcp() {
 fn history_retains_multiple_snapshots_and_honours_the_limit() {
     let service = Arc::new(
         ServiceConfig::default()
-            .workers(1)
             .cache_capacity(8)
             .seed(3)
             .history_capacity(4)
@@ -191,7 +189,6 @@ fn history_retains_multiple_snapshots_and_honours_the_limit() {
 fn sharded_health_reports_aggregate_and_per_shard_rows_on(transport: Transport) {
     let router = Arc::new(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(17)
             .transport(transport)
@@ -238,7 +235,6 @@ fn sharded_health_reports_aggregate_and_per_shard_rows_evented() {
 fn metrics_and_traces_under_load(transport: Transport) -> (Vec<String>, Vec<Trace>) {
     let router = Arc::new(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(17)
             .transport(transport)
@@ -373,7 +369,6 @@ fn metrics_and_trace_are_consistent_across_transports_with_shards() {
 fn shard_replace_returns_the_dead_shards_open_stream_gauge_share() {
     let router = Arc::new(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(17)
             .build_sharded(2)
@@ -413,7 +408,6 @@ fn shard_replace_returns_the_dead_shards_open_stream_gauge_share() {
     // gauge instead of leaking two phantom streams.
     let fresh = Arc::new(
         ServiceConfig::default()
-            .workers(1)
             .cache_capacity(64)
             .seed(17)
             .build()

@@ -11,15 +11,18 @@
 
 use pmca_core::online::OnlineModel;
 use pmca_cpusim::{Machine, PlatformSpec};
+use pmca_mlkit::export::ModelParams;
 use pmca_powermeter::{HclWattsUp, Methodology};
-use pmca_serve::{Client, EnergyService, Server, ServiceConfig, Trace, TraceScope, Transport};
+use pmca_serve::{
+    Client, EnergyService, Estimate, InferenceEngine, Registry, Server, ServiceConfig, StoredModel,
+    Tier, Trace, TraceScope, Transport,
+};
 use pmca_workloads::parse::app_from_spec;
 use std::sync::Arc;
 use std::thread;
 
-fn service(workers: usize, cache_capacity: usize, transport: Transport) -> EnergyService {
+fn service(cache_capacity: usize, transport: Transport) -> EnergyService {
     ServiceConfig::default()
-        .workers(workers)
         .cache_capacity(cache_capacity)
         .seed(SEED)
         .transport(transport)
@@ -62,7 +65,7 @@ fn reference_model() -> OnlineModel {
 }
 
 fn served_estimates_match_the_direct_model_on(transport: Transport) {
-    let service = Arc::new(service(4, 64, transport));
+    let service = Arc::new(service(64, transport));
     let stored = service
         .train_online("skylake", &good_set(), &ladder())
         .unwrap();
@@ -119,7 +122,6 @@ fn served_estimates_match_the_direct_model_on(transport: Transport) {
     let stats = service.stats();
     assert_eq!(stats.served, 6);
     assert_eq!(stats.errors, 0);
-    assert_eq!(stats.workers, 4);
 }
 
 #[test]
@@ -133,7 +135,7 @@ fn served_estimates_match_the_direct_model_evented() {
 }
 
 fn repeated_app_queries_hit_the_run_cache_on(transport: Transport) {
-    let service = Arc::new(service(2, 64, transport));
+    let service = Arc::new(service(64, transport));
     service
         .train_online("skylake", &good_set(), &ladder())
         .unwrap();
@@ -171,7 +173,7 @@ fn repeated_app_queries_hit_the_run_cache_evented() {
 }
 
 fn training_and_introspection_work_over_the_wire_on(transport: Transport) {
-    let service = Arc::new(service(2, 32, transport));
+    let service = Arc::new(service(32, transport));
     let server = Server::start(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
@@ -202,7 +204,6 @@ fn training_and_introspection_work_over_the_wire_on(transport: Transport) {
             .unwrap_or_else(|| panic!("missing {key} in {stats:?}"))
     };
     assert_eq!(get("models"), "2");
-    assert_eq!(get("workers"), "2");
 
     // SHARDS reports the single-shard topology owning both platforms.
     let shards = client.shards().unwrap();
@@ -224,7 +225,7 @@ fn training_and_introspection_work_over_the_wire_evented() {
 }
 
 fn metrics_over_the_wire_cover_commands_and_caches_on(transport: Transport) {
-    let service = Arc::new(service(2, 32, transport));
+    let service = Arc::new(service(32, transport));
     service
         .train_online("skylake", &good_set(), &ladder())
         .unwrap();
@@ -275,7 +276,6 @@ fn traces_over_the_wire_break_requests_into_stages_on(transport: Transport) {
     // below land in the slow ring regardless of machine speed.
     let service = Arc::new(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(SEED)
             .trace_slow_ms(0)
@@ -311,10 +311,9 @@ fn traces_over_the_wire_break_requests_into_stages_on(transport: Transport) {
             .unwrap_or_else(|| panic!("no {name} stage in {stages:?}"))
             .1
     };
-    // The full breakdown the ISSUE asks for: queue wait, cache lookup,
-    // compute, and the substrate (simulator runs inside the cache fill).
+    // The full breakdown: cache lookup, compute, and the substrate
+    // (simulator runs inside the cache fill).
     for name in [
-        "engine.queue",
         "engine.compute",
         "cache.lookup",
         "cache.fill",
@@ -347,7 +346,7 @@ fn traces_over_the_wire_break_requests_into_stages_on(transport: Transport) {
 /// the test harness could set it.
 #[test]
 fn forced_scalar_kernels_serve_identical_estimates() {
-    let service = Arc::new(service(2, 32, Transport::Threaded));
+    let service = Arc::new(service(32, Transport::Threaded));
     service
         .train_online("skylake", &good_set(), &ladder())
         .unwrap();
@@ -387,4 +386,82 @@ fn traces_over_the_wire_break_requests_into_stages() {
 #[test]
 fn traces_over_the_wire_break_requests_into_stages_evented() {
     traces_over_the_wire_break_requests_into_stages_on(Transport::Evented);
+}
+
+#[test]
+fn calling_threads_share_one_lowering_bit_identically() {
+    // Eight threads race on two never-lowered versions, interleaving
+    // f64 and fixed rows. Whichever thread builds a version's
+    // lowering, every answer must match a single-threaded reference
+    // bit for bit, and none may be lost or doubled.
+    fn versions(registry: &mut Registry) -> [Arc<StoredModel>; 2] {
+        let names: Vec<String> = (0..4).map(|i| format!("E{i}")).collect();
+        [
+            [2.5e-9, 1.0e-9, 3.0e-9, 0.5e-9],
+            [2.0e-9, 1.5e-9, 2.5e-9, 1.0e-9],
+        ]
+        .map(|coefficients| {
+            registry.register(
+                "skylake",
+                "online",
+                names.clone(),
+                0.8,
+                40,
+                ModelParams::Linear {
+                    coefficients: coefficients.to_vec(),
+                    intercept: 0.0,
+                },
+            )
+        })
+    }
+    let threads = 8u32;
+    let per_thread = 400u32;
+    let request = |t: u32, i: u32| {
+        let n = f64::from(t * per_thread + i);
+        let row = vec![
+            1.0e9 + n * 3.7e6,
+            4.0e8 + n * 1.1e6,
+            2.0e8 + n,
+            9.0e7 + n * 7.0,
+        ];
+        let tier = if i.is_multiple_of(2) {
+            Tier::F64
+        } else {
+            Tier::Fixed
+        };
+        ((i / 2 % 2) as usize, tier, row)
+    };
+    let answer = |engine: &InferenceEngine, model: &Arc<StoredModel>, tier, row| match tier {
+        Tier::F64 => engine.estimate(model, row).unwrap(),
+        Tier::Fixed => engine.estimate_fixed(model, row).unwrap(),
+    };
+
+    let reference_engine = InferenceEngine::new(1);
+    let reference_models = versions(&mut Registry::new());
+    let reference: Vec<Vec<Estimate>> = (0..threads)
+        .map(|t| {
+            (0..per_thread)
+                .map(|i| {
+                    let (v, tier, row) = request(t, i);
+                    answer(&reference_engine, &reference_models[v], tier, row)
+                })
+                .collect()
+        })
+        .collect();
+
+    let engine = InferenceEngine::new(1);
+    let models = versions(&mut Registry::new());
+    thread::scope(|scope| {
+        for (t, expected) in (0..threads).zip(&reference) {
+            let (engine, models) = (&engine, &models);
+            scope.spawn(move || {
+                for (i, want) in (0..per_thread).zip(expected) {
+                    let (v, tier, row) = request(t, i);
+                    assert_eq!(&answer(engine, &models[v], tier, row), want);
+                }
+            });
+        }
+    });
+    assert_eq!(engine.served(), u64::from(threads * per_thread));
+    assert_eq!(engine.errors(), 0);
 }

@@ -40,12 +40,11 @@ fn probe_counts() -> Vec<(String, f64)> {
         .collect()
 }
 
-/// A fresh single service shaped like one shard of `build_sharded(3)`
-/// with 3 workers total: in-memory store, same seed, one worker.
+/// A fresh single service shaped like one shard of `build_sharded(3)`:
+/// in-memory store, same seed.
 fn replacement_shard(transport: Transport) -> Arc<EnergyService> {
     Arc::new(
         ServiceConfig::default()
-            .workers(1)
             .cache_capacity(64)
             .seed(SEED)
             .transport(transport)
@@ -58,7 +57,6 @@ fn replacement_shard(transport: Transport) -> Arc<EnergyService> {
 fn failover_restores_bit_identical_estimates_on(transport: Transport) {
     let router = Arc::new(
         ServiceConfig::default()
-            .workers(3)
             .cache_capacity(64)
             .seed(SEED)
             .transport(transport)
@@ -123,7 +121,6 @@ fn failover_restores_from_the_file_backed_registry() {
     // through to disk.
     let primary = Arc::new(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(64)
             .seed(SEED)
             .registry_dir(&dir)

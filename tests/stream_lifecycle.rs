@@ -18,12 +18,7 @@ fn server(config: ServiceConfig) -> Server {
 }
 
 fn default_server() -> Server {
-    server(
-        ServiceConfig::default()
-            .workers(2)
-            .cache_capacity(16)
-            .seed(9),
-    )
+    server(ServiceConfig::default().cache_capacity(16).seed(9))
 }
 
 #[test]
@@ -137,7 +132,6 @@ fn concurrent_streaming_keeps_the_flight_recorder_coherent() {
     // once while labelled pushes keep the online model publishing.
     let server = server(
         ServiceConfig::default()
-            .workers(2)
             .cache_capacity(16)
             .seed(11)
             .trace_capacity(256),
