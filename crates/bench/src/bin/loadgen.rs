@@ -12,12 +12,11 @@
 //! cargo run --release -p pmca-bench --bin loadgen -- \
 //!     [--addr HOST:PORT] [--clients N] [--requests M]
 //!     [--duration-secs S] [--pipeline D] [--app-share PCT]
-//!     [--tier f64|fixed|both]
+//!     [--tier f64|fixed]
 //!     [--connections N] [--idle-fraction F]
 //!     [--shards N] [--transport threaded|evented] [--event-loops N]
 //!     [--no-metrics] [--no-trace] [--no-health] [--trace-sample N]
 //!     [--streams N] [--windows M] [--label-every K]
-//!     [--json PATH] [--compare BASELINE.json]
 //! ```
 //!
 //! `--connections N --idle-fraction F` switches to connection-scale
@@ -40,18 +39,18 @@
 //! (p50/p95/p99). The summary also reports how many online models the
 //! server published into its registry.
 //!
-//! `--tier f64|fixed|both` picks the inference tier the estimate
-//! requests ask for (`tier=fixed` runs the integer fixed-point fast
-//! tier). `both` runs two timed passes over the same warmed server —
-//! f64 first, then fixed — and reports each tier's percentiles side by
-//! side, so one `--json` file captures the tier comparison.
+//! `--tier f64|fixed` picks the inference tier the estimate requests ask
+//! for (`tier=fixed` runs the integer fixed-point fast tier).
 //!
 //! `--duration-secs S` replaces the fixed request count with a wall-clock
 //! budget: every client fires pipelined batches until the deadline.
-//! `--json PATH` writes the run summary (throughput, latency quantiles,
-//! configuration) as a JSON object — commit one as a baseline.
-//! `--compare BASELINE.json` reads such a file after the run and prints a
-//! metric-by-metric delta table against it.
+//!
+//! The timed pass ends with one machine-readable line on stdout,
+//! `result key=value …`: `tier`, `eps`, `p50_us` and `p99_us` in
+//! estimate mode, `ingest_wps`, `poll_p50_us` and `poll_p99_us` in
+//! streaming mode. loadgen writes no files and keeps no baselines: the
+//! repository's steady numbers, with run-to-run spread, come from
+//! `perfbench/`.
 //!
 //! After the run it fetches the server-side view via the `METRICS`
 //! command — per-command latency percentiles measured inside the server,
@@ -94,33 +93,6 @@ const APP_SPECS: [&str; 4] = [
     "dgemm:9000;fft:24000",
 ];
 
-/// Which inference tier(s) the estimate requests ask for.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TierMode {
-    F64,
-    Fixed,
-    /// Two passes over the same warmed server: f64 first, then fixed.
-    Both,
-}
-
-impl TierMode {
-    fn as_str(self) -> &'static str {
-        match self {
-            TierMode::F64 => "f64",
-            TierMode::Fixed => "fixed",
-            TierMode::Both => "both",
-        }
-    }
-
-    fn passes(self) -> &'static [Tier] {
-        match self {
-            TierMode::F64 => &[Tier::F64],
-            TierMode::Fixed => &[Tier::Fixed],
-            TierMode::Both => &[Tier::F64, Tier::Fixed],
-        }
-    }
-}
-
 struct Options {
     addr: Option<String>,
     clients: usize,
@@ -129,8 +101,8 @@ struct Options {
     /// Out of 100: how many requests are app-level (cache-backed) rather
     /// than raw counter-level estimates.
     app_share: u32,
-    /// Inference tier(s) the estimate requests ask for.
-    tier: TierMode,
+    /// Inference tier the estimate requests ask for.
+    tier: Tier,
     /// Build the in-process server with inert metrics (overhead A/B).
     no_metrics: bool,
     /// Build the in-process server with tracing disabled (overhead A/B).
@@ -142,10 +114,6 @@ struct Options {
     trace_sample: Option<usize>,
     /// Run for a wall-clock budget instead of a fixed request count.
     duration_secs: Option<u64>,
-    /// Write the run summary as JSON to this path.
-    json: Option<String>,
-    /// Compare the run against a previously written `--json` baseline.
-    compare: Option<String>,
     /// Streaming mode: open this many concurrent telemetry streams.
     streams: Option<usize>,
     /// Streaming mode: windows pushed per stream.
@@ -173,14 +141,12 @@ fn parse_options() -> Result<Options, String> {
         requests: 20_000,
         pipeline: 64,
         app_share: 50,
-        tier: TierMode::F64,
+        tier: Tier::F64,
         no_metrics: false,
         no_trace: false,
         no_health: false,
         trace_sample: None,
         duration_secs: None,
-        json: None,
-        compare: None,
         streams: None,
         windows: 64,
         label_every: 4,
@@ -208,12 +174,8 @@ fn parse_options() -> Result<Options, String> {
             }
             "--tier" => {
                 let raw = value("--tier")?;
-                options.tier = match raw.to_ascii_lowercase().as_str() {
-                    "f64" => TierMode::F64,
-                    "fixed" => TierMode::Fixed,
-                    "both" => TierMode::Both,
-                    _ => return Err(format!("--tier: {raw:?} is not f64, fixed, or both")),
-                };
+                options.tier =
+                    Tier::parse(&raw).ok_or(format!("--tier: {raw:?} is not f64 or fixed"))?;
             }
             "--no-metrics" => options.no_metrics = true,
             "--no-trace" => options.no_trace = true,
@@ -226,8 +188,6 @@ fn parse_options() -> Result<Options, String> {
                 options.duration_secs =
                     Some(parse_count(&value("--duration-secs")?, "--duration-secs")? as u64);
             }
-            "--json" => options.json = Some(value("--json")?),
-            "--compare" => options.compare = Some(value("--compare")?),
             "--streams" => options.streams = Some(parse_count(&value("--streams")?, "--streams")?),
             "--windows" => options.windows = parse_count(&value("--windows")?, "--windows")?,
             "--label-every" => {
@@ -262,6 +222,51 @@ fn parse_count(raw: &str, name: &str) -> Result<usize, String> {
         .ok()
         .filter(|&n| n > 0)
         .ok_or(format!("{name}: {raw:?} is not a positive count"))
+}
+
+/// Stand up the in-process server the options describe. With `train`,
+/// every shard first trains the same online model, so whichever shard
+/// owns skylake after routing answers identically.
+fn start_local_server(options: &Options, train: bool) -> Server {
+    println!(
+        "starting in-process server ({} transport, {} shard(s), \
+         metrics {}, tracing {}, health {})...",
+        options.transport,
+        options.shards,
+        if options.no_metrics { "off" } else { "on" },
+        if options.no_trace { "off" } else { "on" },
+        if options.no_health { "off" } else { "on" }
+    );
+    let router = Arc::new(
+        ServiceConfig::default()
+            .cache_capacity(1024)
+            .seed(42)
+            .metrics(!options.no_metrics)
+            .tracing(!options.no_trace)
+            .health(!options.no_health)
+            .transport(options.transport)
+            .event_loops(options.event_loops)
+            .build_sharded(options.shards)
+            .expect("build service"),
+    );
+    if train {
+        let pmcs: Vec<String> = GOOD_SET.iter().map(|s| s.to_string()).collect();
+        let ladder: Vec<String> = (0..10)
+            .flat_map(|i| {
+                [
+                    format!("dgemm:{}", 7_000 + 1_900 * i),
+                    format!("fft:{}", 23_000 + 1_300 * i),
+                ]
+            })
+            .collect();
+        for shard in 0..router.shard_count() {
+            router
+                .shard(shard)
+                .train_online("skylake", &pmcs, &ladder)
+                .expect("train online model");
+        }
+    }
+    Server::start_router(router, "127.0.0.1:0").expect("bind ephemeral port")
 }
 
 /// One request line for slot `i` of a client: app-level or counter-level
@@ -309,46 +314,7 @@ fn main() {
     let addr = match &options.addr {
         Some(addr) => addr.clone(),
         None => {
-            println!(
-                "starting in-process server ({} transport, {} shard(s), \
-                 metrics {}, tracing {}, health {})...",
-                options.transport,
-                options.shards,
-                if options.no_metrics { "off" } else { "on" },
-                if options.no_trace { "off" } else { "on" },
-                if options.no_health { "off" } else { "on" }
-            );
-            let router = Arc::new(
-                ServiceConfig::default()
-                    .cache_capacity(1024)
-                    .seed(42)
-                    .metrics(!options.no_metrics)
-                    .tracing(!options.no_trace)
-                    .health(!options.no_health)
-                    .transport(options.transport)
-                    .event_loops(options.event_loops)
-                    .build_sharded(options.shards)
-                    .expect("build service"),
-            );
-            let pmcs: Vec<String> = GOOD_SET.iter().map(|s| s.to_string()).collect();
-            let ladder: Vec<String> = (0..10)
-                .flat_map(|i| {
-                    [
-                        format!("dgemm:{}", 7_000 + 1_900 * i),
-                        format!("fft:{}", 23_000 + 1_300 * i),
-                    ]
-                })
-                .collect();
-            // Every shard trains the same model, so whichever shard owns
-            // skylake after routing answers identically.
-            for shard in 0..router.shard_count() {
-                router
-                    .shard(shard)
-                    .train_online("skylake", &pmcs, &ladder)
-                    .expect("train online model");
-            }
-            local_server =
-                Server::start_router(router, "127.0.0.1:0").expect("bind ephemeral port");
+            local_server = start_local_server(&options, true);
             local_server.addr().to_string()
         }
     };
@@ -396,7 +362,7 @@ fn main() {
         active_clients,
         options.pipeline,
         options.app_share,
-        options.tier.as_str()
+        options.tier
     );
 
     // In-flight trace sampler: every N completed requests (across all
@@ -412,29 +378,29 @@ fn main() {
         })
     });
 
-    // One timed pass per requested tier over the same warmed server —
-    // `both` therefore compares the tiers with identical cache state.
-    let mut passes: Vec<(Tier, PassResult)> = Vec::new();
-    for &tier in options.tier.passes() {
-        let pass = run_pass(&addr, &options, tier, active_clients, sampler.clone());
-        let label = tier.as_str();
-        println!(
-            "[tier={label}] {} estimates in {:.2} s -> {:.0} estimates/sec",
-            pass.total,
-            pass.elapsed_secs,
-            pass.throughput_eps()
-        );
-        println!(
-            "[tier={label}] latency (per request, amortised over the pipeline): p50 {:?}  \
-             p90 {:?}  p99 {:?}  p99.9 {:?}  max {:?}",
-            pass.percentile(50.0),
-            pass.percentile(90.0),
-            pass.percentile(99.0),
-            pass.percentile(99.9),
-            pass.max()
-        );
-        passes.push((tier, pass));
-    }
+    let pass = run_pass(&addr, &options, active_clients, sampler);
+    println!(
+        "{} estimates in {:.2} s -> {:.0} estimates/sec",
+        pass.total,
+        pass.elapsed_secs,
+        pass.throughput_eps()
+    );
+    println!(
+        "latency (per request, amortised over the pipeline): p50 {:?}  \
+         p90 {:?}  p99 {:?}  p99.9 {:?}  max {:?}",
+        pass.percentile(50.0),
+        pass.percentile(90.0),
+        pass.percentile(99.0),
+        pass.percentile(99.9),
+        pass.max()
+    );
+    println!(
+        "result tier={} eps={:.1} p50_us={:.1} p99_us={:.1}",
+        options.tier,
+        pass.throughput_eps(),
+        as_micros(pass.percentile(50.0)),
+        as_micros(pass.percentile(99.0))
+    );
 
     // Every idle connection must still answer after the run: the front
     // end kept them alive while the active herd saturated it.
@@ -449,52 +415,6 @@ fn main() {
         );
     }
 
-    // Headline numbers come from the first pass (f64 when comparing both
-    // tiers), keeping them comparable with pre-tier baselines; the
-    // per-tier p50/p99 columns carry the comparison.
-    let headline = &passes[0].1;
-    let summary = Summary {
-        clients: active_clients,
-        pipeline: options.pipeline,
-        app_share: options.app_share,
-        tier: options.tier.as_str(),
-        tier_latency: passes
-            .iter()
-            .map(|(tier, pass)| {
-                (
-                    tier.as_str(),
-                    as_micros(pass.percentile(50.0)),
-                    as_micros(pass.percentile(99.0)),
-                )
-            })
-            .collect(),
-        connections: options.connections,
-        idle_fraction: options.idle_fraction,
-        idle_connections: idle_held,
-        idle_probe_failures,
-        transport: options.transport,
-        shards: options.shards,
-        total: headline.total,
-        elapsed_secs: headline.elapsed_secs,
-        throughput_eps: headline.throughput_eps(),
-        p50_us: as_micros(headline.percentile(50.0)),
-        p90_us: as_micros(headline.percentile(90.0)),
-        p99_us: as_micros(headline.percentile(99.0)),
-        p999_us: as_micros(headline.percentile(99.9)),
-        max_us: as_micros(headline.max()),
-    };
-    if let Some(path) = &options.json {
-        match std::fs::write(path, summary.to_json()) {
-            Ok(()) => println!("wrote run summary to {path}"),
-            Err(e) => log::error("loadgen", &format!("writing {path}: {e}"), &[]),
-        }
-    }
-    if let Some(path) = &options.compare {
-        match std::fs::read_to_string(path) {
-            Ok(baseline) => summary.print_comparison(path, &baseline),
-            Err(e) => log::error("loadgen", &format!("reading {path}: {e}"), &[]),
-        }
-    }
     if let Ok(mut client) = Client::connect(addr.as_str()) {
         if let Ok(stats) = client.stats() {
             let line: Vec<String> = stats.iter().map(|(k, v)| format!("{k}={v}")).collect();
@@ -548,12 +468,11 @@ impl PassResult {
     }
 }
 
-/// One timed load pass on `tier`: every active client fires its budget
-/// of pipelined batches and reports per-request latencies.
+/// The timed load pass: every active client fires its budget of
+/// pipelined batches and reports per-request latencies.
 fn run_pass(
     addr: &str,
     options: &Options,
-    tier: Tier,
     active_clients: usize,
     sampler: Option<Arc<TraceSampler>>,
 ) -> PassResult {
@@ -567,6 +486,7 @@ fn run_pass(
             let requests = options.requests;
             let depth = options.pipeline;
             let app_share = options.app_share;
+            let tier = options.tier;
             let sampler = sampler.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr.as_str()).expect("client connect");
@@ -640,29 +560,7 @@ fn run_streams(options: &Options) {
     let addr = match &options.addr {
         Some(addr) => addr.clone(),
         None => {
-            println!(
-                "starting in-process server ({} transport, {} shard(s), \
-                 metrics {}, tracing {}, health {})...",
-                options.transport,
-                options.shards,
-                if options.no_metrics { "off" } else { "on" },
-                if options.no_trace { "off" } else { "on" },
-                if options.no_health { "off" } else { "on" }
-            );
-            let router = Arc::new(
-                ServiceConfig::default()
-                    .cache_capacity(1024)
-                    .seed(42)
-                    .metrics(!options.no_metrics)
-                    .tracing(!options.no_trace)
-                    .health(!options.no_health)
-                    .transport(options.transport)
-                    .event_loops(options.event_loops)
-                    .build_sharded(options.shards)
-                    .expect("build service"),
-            );
-            local_server =
-                Server::start_router(router, "127.0.0.1:0").expect("bind ephemeral port");
+            local_server = start_local_server(options, false);
             local_server.addr().to_string()
         }
     };
@@ -798,31 +696,11 @@ fn run_streams(options: &Options) {
         poll_latencies[polls - 1]
     );
     println!("online model publications server-side (cadence + drift): {refit_swaps}");
-    let summary = StreamSummary {
-        streams,
-        clients,
-        windows: options.windows,
-        label_every: options.label_every,
-        total_windows: pushed_total,
-        elapsed_secs: elapsed.as_secs_f64(),
-        ingest_wps,
-        poll_p50_us: as_micros(percentile(50.0)),
-        poll_p95_us: as_micros(percentile(95.0)),
-        poll_p99_us: as_micros(percentile(99.0)),
-        refit_swaps,
-    };
-    if let Some(path) = &options.json {
-        match std::fs::write(path, summary.to_json()) {
-            Ok(()) => println!("wrote run summary to {path}"),
-            Err(e) => log::error("loadgen", &format!("writing {path}: {e}"), &[]),
-        }
-    }
-    if let Some(path) = &options.compare {
-        match std::fs::read_to_string(path) {
-            Ok(baseline) => summary.print_comparison(path, &baseline),
-            Err(e) => log::error("loadgen", &format!("reading {path}: {e}"), &[]),
-        }
-    }
+    println!(
+        "result ingest_wps={ingest_wps:.1} poll_p50_us={:.1} poll_p99_us={:.1}",
+        as_micros(percentile(50.0)),
+        as_micros(percentile(99.0))
+    );
     if let Some(reason) = health_failure {
         log::error(
             "loadgen",
@@ -952,286 +830,6 @@ fn probe_stats(mut conn: &TcpStream) -> std::io::Result<()> {
             return Ok(());
         }
     }
-}
-
-/// Streaming-mode headline numbers, written by `--json` and read back by
-/// `--compare`.
-struct StreamSummary {
-    streams: usize,
-    clients: usize,
-    windows: usize,
-    label_every: usize,
-    total_windows: usize,
-    elapsed_secs: f64,
-    ingest_wps: f64,
-    poll_p50_us: f64,
-    poll_p95_us: f64,
-    poll_p99_us: f64,
-    refit_swaps: u64,
-}
-
-/// The dispatched SIMD instruction set (and the raw `PMCA_SIMD`
-/// override, if one was set) as JSON fields — recorded in every
-/// baseline so numbers committed from different machines are never
-/// silently compared across ISAs.
-fn simd_json_fields() -> String {
-    let isa = pmca_simd::Isa::active().as_str();
-    match pmca_simd::override_request() {
-        Some(req) => format!(
-            "  \"simd_isa\": \"{isa}\",\n  \"simd_override\": \"{}\",\n",
-            req.replace('"', "'")
-        ),
-        None => format!("  \"simd_isa\": \"{isa}\",\n"),
-    }
-}
-
-/// Print the ISA header row of a `--compare`, warning when the
-/// baseline ran on different kernels (or predates ISA recording).
-fn print_simd_comparison(baseline: &str) {
-    let now = pmca_simd::Isa::active().as_str();
-    let now_line = match pmca_simd::override_request() {
-        Some(req) => format!("{now} (PMCA_SIMD={req})"),
-        None => now.to_string(),
-    };
-    match json_string(baseline, "simd_isa") {
-        Some(base) => {
-            println!("  simd isa: baseline {base}, now {now_line}");
-            if base != now {
-                println!("  warning: simd isa differs — kernel numbers are not like-for-like");
-            }
-        }
-        None => println!("  simd isa: baseline unrecorded, now {now_line}"),
-    }
-}
-
-/// Pull one string field out of a flat JSON object, the sibling of
-/// [`json_number`] for quoted values.
-fn json_string(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let after = &text[text.find(&needle)? + needle.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let after = after.strip_prefix('"')?;
-    Some(after[..after.find('"')?].to_string())
-}
-
-impl StreamSummary {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n{simd}  \"streams\": {},\n  \"clients\": {},\n  \"windows\": {},\n  \
-             \"label_every\": {},\n  \"total_windows\": {},\n  \"elapsed_secs\": {:.3},\n  \
-             \"ingest_wps\": {:.1},\n  \"poll_p50_us\": {:.1},\n  \"poll_p95_us\": {:.1},\n  \
-             \"poll_p99_us\": {:.1},\n  \"refit_swaps\": {}\n}}\n",
-            self.streams,
-            self.clients,
-            self.windows,
-            self.label_every,
-            self.total_windows,
-            self.elapsed_secs,
-            self.ingest_wps,
-            self.poll_p50_us,
-            self.poll_p95_us,
-            self.poll_p99_us,
-            self.refit_swaps,
-            simd = simd_json_fields()
-        )
-    }
-
-    fn print_comparison(&self, path: &str, baseline: &str) {
-        println!("comparison against {path}:");
-        print_simd_comparison(baseline);
-        let rows: [(&str, f64, bool); 4] = [
-            ("ingest_wps", self.ingest_wps, true),
-            ("poll_p50_us", self.poll_p50_us, false),
-            ("poll_p95_us", self.poll_p95_us, false),
-            ("poll_p99_us", self.poll_p99_us, false),
-        ];
-        for (key, current, higher_is_better) in rows {
-            let Some(base) = json_number(baseline, key) else {
-                println!("  {key:<15} baseline missing");
-                continue;
-            };
-            if base == 0.0 {
-                println!("  {key:<15} baseline {base:>10.1}  now {current:>10.1}");
-                continue;
-            }
-            let delta = (current - base) / base * 100.0;
-            let verdict = if (delta >= 0.0) == higher_is_better {
-                "better"
-            } else {
-                "worse"
-            };
-            println!("  {key:<15} baseline {base:>10.1}  now {current:>10.1}  {delta:>+7.1}% ({verdict})");
-        }
-        for key in ["streams", "clients", "windows", "label_every"] {
-            if let Some(base) = json_number(baseline, key) {
-                let current = match key {
-                    "streams" => self.streams as f64,
-                    "clients" => self.clients as f64,
-                    "windows" => self.windows as f64,
-                    _ => self.label_every as f64,
-                };
-                if (base - current).abs() > f64::EPSILON {
-                    println!(
-                        "  warning: {key} differs (baseline {base:.0}, now {current:.0}) — \
-                         numbers are not like-for-like"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// One run's headline numbers, written by `--json` and read back by
-/// `--compare`.
-struct Summary {
-    clients: usize,
-    pipeline: usize,
-    app_share: u32,
-    /// The `--tier` mode this run used.
-    tier: &'static str,
-    /// One `(tier, p50_us, p99_us)` row per timed pass.
-    tier_latency: Vec<(&'static str, f64, f64)>,
-    connections: Option<usize>,
-    idle_fraction: f64,
-    idle_connections: usize,
-    idle_probe_failures: usize,
-    transport: Transport,
-    shards: usize,
-    total: usize,
-    elapsed_secs: f64,
-    throughput_eps: f64,
-    p50_us: f64,
-    p90_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    max_us: f64,
-}
-
-impl Summary {
-    fn to_json(&self) -> String {
-        let connections = match self.connections {
-            Some(total) => format!(
-                "  \"connections\": {},\n  \"idle_fraction\": {},\n  \
-                 \"idle_connections\": {},\n  \"idle_probe_failures\": {},\n",
-                total, self.idle_fraction, self.idle_connections, self.idle_probe_failures
-            ),
-            None => String::new(),
-        };
-        // One p50/p99 column pair per timed tier pass, e.g.
-        // "f64_p50_us" / "fixed_p50_us" side by side on a --tier both run.
-        let tiers: String = self
-            .tier_latency
-            .iter()
-            .map(|(name, p50, p99)| {
-                format!("  \"{name}_p50_us\": {p50:.1},\n  \"{name}_p99_us\": {p99:.1},\n")
-            })
-            .collect();
-        format!(
-            "{{\n{simd}  \"clients\": {},\n  \"pipeline\": {},\n  \
-             \"app_share\": {},\n  \"tier\": \"{}\",\n{tiers}{connections}  \
-             \"transport\": \"{}\",\n  \
-             \"shards\": {},\n  \"total\": {},\n  \"elapsed_secs\": {:.3},\n  \
-             \"throughput_eps\": {:.1},\n  \"p50_us\": {:.1},\n  \"p90_us\": {:.1},\n  \
-             \"p99_us\": {:.1},\n  \"p999_us\": {:.1},\n  \"max_us\": {:.1}\n}}\n",
-            self.clients,
-            self.pipeline,
-            self.app_share,
-            self.tier,
-            self.transport,
-            self.shards,
-            self.total,
-            self.elapsed_secs,
-            self.throughput_eps,
-            self.p50_us,
-            self.p90_us,
-            self.p99_us,
-            self.p999_us,
-            self.max_us,
-            simd = simd_json_fields()
-        )
-    }
-
-    /// Print a metric-by-metric delta table against a `--json` baseline.
-    /// Throughput deltas are "higher is better"; latency deltas are
-    /// "lower is better" — the sign convention is printed per row.
-    fn print_comparison(&self, path: &str, baseline: &str) {
-        println!("comparison against {path}:");
-        print_simd_comparison(baseline);
-        let rows: [(&str, f64, bool); 6] = [
-            ("throughput_eps", self.throughput_eps, true),
-            ("p50_us", self.p50_us, false),
-            ("p90_us", self.p90_us, false),
-            ("p99_us", self.p99_us, false),
-            ("p999_us", self.p999_us, false),
-            ("max_us", self.max_us, false),
-        ];
-        for (key, current, higher_is_better) in rows {
-            let Some(base) = json_number(baseline, key) else {
-                println!("  {key:<15} baseline missing");
-                continue;
-            };
-            if base == 0.0 {
-                println!("  {key:<15} baseline {base:>10.1}  now {current:>10.1}");
-                continue;
-            }
-            let delta = (current - base) / base * 100.0;
-            let verdict = if (delta >= 0.0) == higher_is_better {
-                "better"
-            } else {
-                "worse"
-            };
-            println!("  {key:<15} baseline {base:>10.1}  now {current:>10.1}  {delta:>+7.1}% ({verdict})");
-        }
-        // Per-tier latency rows, when the baseline also recorded the tier
-        // (pre-tier baselines simply lack the key).
-        for (name, p50, p99) in &self.tier_latency {
-            for (suffix, current) in [("p50_us", *p50), ("p99_us", *p99)] {
-                let key = format!("{name}_{suffix}");
-                let Some(base) = json_number(baseline, &key) else {
-                    println!("  {key:<15} baseline missing");
-                    continue;
-                };
-                if base == 0.0 {
-                    println!("  {key:<15} baseline {base:>10.1}  now {current:>10.1}");
-                    continue;
-                }
-                let delta = (current - base) / base * 100.0;
-                let verdict = if delta <= 0.0 { "better" } else { "worse" };
-                println!(
-                    "  {key:<15} baseline {base:>10.1}  now {current:>10.1}  \
-                     {delta:>+7.1}% ({verdict})"
-                );
-            }
-        }
-        for key in ["clients", "pipeline", "app_share"] {
-            if let Some(base) = json_number(baseline, key) {
-                let current = match key {
-                    "clients" => self.clients as f64,
-                    "pipeline" => self.pipeline as f64,
-                    _ => f64::from(self.app_share),
-                };
-                if (base - current).abs() > f64::EPSILON {
-                    println!(
-                        "  warning: {key} differs (baseline {base:.0}, now {current:.0}) — \
-                         numbers are not like-for-like"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Pull one numeric field out of a flat JSON object without a JSON
-/// dependency: finds `"key"`, skips `:` and whitespace, parses the
-/// longest leading float.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let after = &text[text.find(&needle)? + needle.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let end = after
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
 }
 
 /// Shared in-flight sampler: counts completed requests across client

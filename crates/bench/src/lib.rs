@@ -21,15 +21,15 @@
 
 use std::time::Instant;
 
-/// Run a labelled reproduction step, printing a timing footer.
+/// Run a labelled reproduction step. The timing footer goes to stderr,
+/// so stdout stays byte-identical from run to run and can be diffed
+/// against the committed `results/*.txt`.
 pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     println!("==> {label}");
     let start = Instant::now();
     let out = f();
-    println!(
-        "<== {label} done in {:.1}s\n",
-        start.elapsed().as_secs_f64()
-    );
+    eprintln!("<== {label} done in {:.1}s", start.elapsed().as_secs_f64());
+    println!();
     out
 }
 

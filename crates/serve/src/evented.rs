@@ -23,6 +23,7 @@
 //! connections), all labelled per loop.
 
 use crate::dispatch::Dispatcher;
+use crate::protocol::MAX_LINE;
 use crate::server::ConnectionGuard;
 use crate::shard::ShardRouter;
 use pmca_obs::trace;
@@ -32,10 +33,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
-
-/// A connection whose buffered request bytes exceed this without a
-/// newline is dropped — no legitimate request line is this long.
-const MAX_LINE: usize = 64 * 1024;
 
 /// Sweeps without activity before a connection is demoted to the cold
 /// tier.

@@ -68,6 +68,11 @@ use std::fmt;
 /// deployable 4-PMC set so the hot parse never allocates.
 pub const STREAM_PUSH_COUNTS: usize = 4;
 
+/// The longest request line either transport buffers: a connection that
+/// sends this many bytes without a newline is closed — no legitimate
+/// request line is this long.
+pub(crate) const MAX_LINE: usize = 64 * 1024;
+
 /// Why a request or reply line did not parse, or what the server said
 /// went wrong. This is the protocol layer's typed error: every `ERR`
 /// reply and every malformed line maps onto one variant.

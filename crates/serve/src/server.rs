@@ -17,10 +17,11 @@
 //! address, which is how tests and the loadgen find the server.
 
 use crate::dispatch::Dispatcher;
+use crate::protocol::MAX_LINE;
 use crate::service::{EnergyService, Transport};
 use crate::shard::ShardRouter;
 use pmca_obs::{log, trace, Gauge};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -247,8 +248,11 @@ fn handle_connection(stream: TcpStream, router: &Arc<ShardRouter>) {
         lines.clear();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            // One byte past the cap tells an over-long line from one
+            // that ends exactly at it.
+            match (&mut reader).take(MAX_LINE as u64 + 1).read_line(&mut line) {
                 Ok(0) | Err(_) => return,
+                Ok(n) if n > MAX_LINE && !line.ends_with('\n') => return,
                 Ok(_) => {}
             }
             if !line.trim().is_empty() {

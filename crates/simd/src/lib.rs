@@ -74,7 +74,7 @@ pub enum Isa {
 
 impl Isa {
     /// The lowercase name used by `PMCA_SIMD`, metrics labels, and
-    /// loadgen baselines.
+    /// perfbench result files.
     pub fn as_str(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",

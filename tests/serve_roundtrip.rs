@@ -18,8 +18,11 @@ use pmca_serve::{
     Tier, Trace, TraceScope, Transport,
 };
 use pmca_workloads::parse::app_from_spec;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 fn service(cache_capacity: usize, transport: Transport) -> EnergyService {
     ServiceConfig::default()
@@ -464,4 +467,40 @@ fn calling_threads_share_one_lowering_bit_identically() {
     });
     assert_eq!(engine.served(), u64::from(threads * per_thread));
     assert_eq!(engine.errors(), 0);
+}
+
+/// A client that never sends a newline must not grow server memory
+/// without bound: past the request-line cap its connection is closed,
+/// and the server goes on answering other connections.
+fn over_long_request_lines_close_the_connection_on(transport: Transport) {
+    let server = Server::start(Arc::new(service(4, transport)), "127.0.0.1:0").unwrap();
+    let mut flood = TcpStream::connect(server.addr()).unwrap();
+    flood
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    flood
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The server may close mid-write, so the write itself may fail.
+    let _ = flood.write_all(&vec![b'A'; 1 << 20]);
+    let mut byte = [0u8; 1];
+    match flood.read(&mut byte) {
+        // A close with unread bytes in the server's buffer arrives as a
+        // reset rather than a clean EOF.
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("a 1 MiB line without a newline was not closed: {other:?}"),
+    }
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert!(client.stats().is_ok(), "server stopped answering");
+}
+
+#[test]
+fn over_long_request_lines_close_the_connection() {
+    over_long_request_lines_close_the_connection_on(Transport::Threaded);
+}
+
+#[test]
+fn over_long_request_lines_close_the_connection_evented() {
+    over_long_request_lines_close_the_connection_on(Transport::Evented);
 }
