@@ -14,7 +14,7 @@
 //!     [--duration-secs S] [--pipeline D] [--app-share PCT]
 //!     [--tier f64|fixed]
 //!     [--connections N] [--idle-fraction F]
-//!     [--shards N] [--transport threaded|evented] [--event-loops N]
+//!     [--transport threaded|evented] [--event-loops N]
 //!     [--no-metrics] [--no-trace] [--no-health] [--trace-sample N]
 //!     [--streams N] [--windows M] [--label-every K]
 //! ```
@@ -26,9 +26,8 @@
 //! the timed run (both probes must answer, proving the server kept every
 //! idle connection alive under load). Pair it with `--transport evented`
 //! to measure the readiness-driven front end at 10k+ mostly-idle
-//! connections; `--shards N` fans the in-process server out to N
-//! consistent-hash shards behind one port. Open file limits apply:
-//! `ulimit -n 65536` before a 10k-connection run.
+//! connections. Open file limits apply: `ulimit -n 65536` before a
+//! 10k-connection run.
 //!
 //! `--streams N` switches to streaming-ingestion mode: the clients open
 //! N concurrent telemetry streams, push `--windows` one-second windows
@@ -55,7 +54,7 @@
 //! After the run it fetches the server-side view via the `METRICS`
 //! command — per-command latency percentiles measured inside the server,
 //! next to the client-side numbers — and the full span breakdown of the
-//! slowest request via `TRACE SLOWEST` (queue wait, cache lookup,
+//! slowest request via `TRACE SLOWEST` (registry lookup, cache lookup,
 //! compute, substrate). `--trace-sample N` additionally prints one full
 //! server-side trace every N requests while the run is in flight.
 //! `--no-metrics` / `--no-trace` / `--no-health` build the in-process
@@ -130,8 +129,6 @@ struct Options {
     transport: Transport,
     /// Event-loop threads for the evented transport.
     event_loops: usize,
-    /// In-process shards behind the consistent-hash router.
-    shards: usize,
 }
 
 fn parse_options() -> Result<Options, String> {
@@ -154,7 +151,6 @@ fn parse_options() -> Result<Options, String> {
         idle_fraction: 0.99,
         transport: Transport::Threaded,
         event_loops: 4,
-        shards: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -210,7 +206,6 @@ fn parse_options() -> Result<Options, String> {
             "--event-loops" => {
                 options.event_loops = parse_count(&value("--event-loops")?, "--event-loops")?;
             }
-            "--shards" => options.shards = parse_count(&value("--shards")?, "--shards")?,
             other => return Err(format!("unknown option {other:?}")),
         }
     }
@@ -225,19 +220,16 @@ fn parse_count(raw: &str, name: &str) -> Result<usize, String> {
 }
 
 /// Stand up the in-process server the options describe. With `train`,
-/// every shard first trains the same online model, so whichever shard
-/// owns skylake after routing answers identically.
+/// the service first trains the online model the estimates ask for.
 fn start_local_server(options: &Options, train: bool) -> Server {
     println!(
-        "starting in-process server ({} transport, {} shard(s), \
-         metrics {}, tracing {}, health {})...",
+        "starting in-process server ({} transport, metrics {}, tracing {}, health {})...",
         options.transport,
-        options.shards,
         if options.no_metrics { "off" } else { "on" },
         if options.no_trace { "off" } else { "on" },
         if options.no_health { "off" } else { "on" }
     );
-    let router = Arc::new(
+    let service = Arc::new(
         ServiceConfig::default()
             .cache_capacity(1024)
             .seed(42)
@@ -246,7 +238,7 @@ fn start_local_server(options: &Options, train: bool) -> Server {
             .health(!options.no_health)
             .transport(options.transport)
             .event_loops(options.event_loops)
-            .build_sharded(options.shards)
+            .build()
             .expect("build service"),
     );
     if train {
@@ -259,14 +251,11 @@ fn start_local_server(options: &Options, train: bool) -> Server {
                 ]
             })
             .collect();
-        for shard in 0..router.shard_count() {
-            router
-                .shard(shard)
-                .train_online("skylake", &pmcs, &ladder)
-                .expect("train online model");
-        }
+        service
+            .train_online("skylake", &pmcs, &ladder)
+            .expect("train online model");
     }
-    Server::start_router(router, "127.0.0.1:0").expect("bind ephemeral port")
+    Server::start(service, "127.0.0.1:0").expect("bind ephemeral port")
 }
 
 /// One request line for slot `i` of a client: app-level or counter-level

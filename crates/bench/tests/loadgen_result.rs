@@ -72,7 +72,12 @@ fn stream_mode_reports_ingest_and_poll_latency() {
 
 #[test]
 fn retired_options_are_usage_errors() {
-    for args in [&["--json", "x"], &["--compare", "x"], &["--tier", "both"]] {
+    for args in [
+        &["--json", "x"],
+        &["--compare", "x"],
+        &["--tier", "both"],
+        &["--shards", "2"],
+    ] {
         assert_eq!(loadgen(args).status.code(), Some(2), "{args:?}");
     }
 }

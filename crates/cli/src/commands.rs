@@ -52,16 +52,15 @@ usage:
   never changes results: every output is bit-identical at any thread count
 
   slope-pmc serve [--addr HOST:PORT] [--cache N] [--registry DIR]
-                  [--shards N] [--transport threaded|evented] [--event-loops N]
+                  [--transport threaded|evented] [--event-loops N]
                   [--metrics] [--trace-slow-ms MS] [--trace-log PATH] [--no-trace]
-      run the energy estimation server (default 127.0.0.1:7771); speaks
-      the line protocol: ESTIMATE, ESTIMATE-APP, TRAIN, MODELS, STATS,
-      METRICS, TRACE, HEALTH, HISTORY, SHARDS, QUIT; every estimate is
+      run the energy estimation server (default 127.0.0.1:7771): one
+      service, one model per platform; speaks the line protocol:
+      ESTIMATE, ESTIMATE-APP, TRAIN, MODELS, STATS, METRICS, TRACE,
+      HEALTH, HISTORY, the STREAM family, QUIT; every estimate is
       answered on the thread that read it (tier=fixed picks the
       fixed-point kernel); --registry loads saved models at startup;
-      --shards N runs N in-process shards behind a consistent-hash router
-      (shard 0 keeps the file-backed registry, replicas restore from its
-      snapshot); --transport evented serves all connections from
+      --transport evented serves all connections from
       --event-loops nonblocking event-loop threads instead of one thread
       per connection; --metrics serves until stdin closes, then dumps the
       metrics snapshot (latency histograms + counters) before exiting;
@@ -73,7 +72,6 @@ usage:
       send one protocol request to a running server and print the reply
       (e.g.  slope-pmc query STATS
              slope-pmc query METRICS
-             slope-pmc query SHARDS
              slope-pmc query TRACE SLOWEST
              slope-pmc query HEALTH
              slope-pmc query HISTORY 4
@@ -109,7 +107,6 @@ struct Parsed {
     jobs: Option<usize>,
     cache: usize,
     registry: Option<String>,
-    shards: usize,
     transport: Transport,
     event_loops: usize,
     metrics_dump: bool,
@@ -135,7 +132,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
     let mut jobs = None;
     let mut cache = 256;
     let mut registry = None;
-    let mut shards = 1;
     let mut transport = Transport::Threaded;
     let mut event_loops = 4;
     let mut metrics_dump = false;
@@ -201,14 +197,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
             }
             "--registry" => {
                 registry = Some(it.next().ok_or("--registry needs a directory")?.clone());
-            }
-            "--shards" => {
-                let value = it.next().ok_or("--shards needs a value")?;
-                shards = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--shards: {value:?} is not a positive count"))?;
             }
             "--transport" => {
                 let value = it.next().ok_or("--transport needs threaded or evented")?;
@@ -284,7 +272,6 @@ fn parse_options(args: &[String]) -> Result<Parsed, String> {
         jobs,
         cache,
         registry,
-        shards,
         transport,
         event_loops,
         metrics_dump,
@@ -555,13 +542,10 @@ fn cmd_serve(options: &Parsed) -> Result<(), String> {
     if let Some(path) = &options.trace_log {
         config = config.trace_log(path);
     }
-    let router = Arc::new(config.build_sharded(options.shards).map_err(
-        |e| match &options.registry {
-            Some(dir) => format!("--registry {dir}: {e}"),
-            None => e.to_string(),
-        },
-    )?);
-    let service = router.primary();
+    let service = Arc::new(config.build().map_err(|e| match &options.registry {
+        Some(dir) => format!("--registry {dir}: {e}"),
+        None => e.to_string(),
+    })?);
     if let Some(dir) = &options.registry {
         println!("loaded {} model(s) from {dir}", service.stats().models);
     }
@@ -575,16 +559,11 @@ fn cmd_serve(options: &Parsed) -> Result<(), String> {
             pmca_simd::Isa::active().as_str()
         ),
     }
-    let server = Server::start_router(Arc::clone(&router), &options.addr)
+    let server = Server::start(Arc::clone(&service), &options.addr)
         .map_err(|e| format!("cannot bind {}: {e}", options.addr))?;
-    let topology = if options.shards > 1 {
-        format!(", {} shards", options.shards)
-    } else {
-        String::new()
-    };
     if options.metrics_dump {
         println!(
-            "slope-pmc serving on {} ({}-run cache, {} transport{topology}); \
+            "slope-pmc serving on {} ({}-run cache, {} transport); \
              close stdin (Ctrl-D) for a metrics dump and exit",
             server.addr(),
             options.cache,
@@ -607,7 +586,7 @@ fn cmd_serve(options: &Parsed) -> Result<(), String> {
         return Ok(());
     }
     println!(
-        "slope-pmc serving on {} ({}-run cache, {} transport{topology}); stop with Ctrl-C",
+        "slope-pmc serving on {} ({}-run cache, {} transport); stop with Ctrl-C",
         server.addr(),
         options.cache,
         options.transport,
@@ -636,22 +615,6 @@ fn cmd_query(options: &Parsed) -> Result<(), String> {
         println!("{} metric line(s)", metrics.len());
         for metric in metrics {
             println!("  {metric}");
-        }
-    } else if line.trim().eq_ignore_ascii_case("SHARDS") {
-        let shards = client.shards().map_err(|e| e.to_string())?;
-        println!("{} shard(s)", shards.len());
-        for shard in shards {
-            println!(
-                "  shard {}: owns [{}], {} model(s), {} stream(s), served {}, \
-                 errors {}, {} cached run(s)",
-                shard.shard,
-                shard.owns.join(", "),
-                shard.models,
-                shard.streams,
-                shard.served,
-                shard.errors,
-                shard.cache_entries,
-            );
         }
     } else if line.trim().eq_ignore_ascii_case("HEALTH") {
         let rows = client.health().map_err(|e| e.to_string())?;
@@ -683,19 +646,17 @@ fn cmd_query(options: &Parsed) -> Result<(), String> {
 }
 
 fn print_health(rows: &[HealthRow]) {
-    let shard_label =
-        |shard: &Option<usize>| shard.map_or_else(|| "all".to_string(), |index| index.to_string());
     let calibration: Vec<_> = rows
         .iter()
         .filter_map(|row| match row {
-            HealthRow::Calibration { shard, snapshot } => Some((shard, snapshot)),
+            HealthRow::Calibration { snapshot } => Some(snapshot),
             HealthRow::Additivity { .. } => None,
         })
         .collect();
     let additivity: Vec<_> = rows
         .iter()
         .filter_map(|row| match row {
-            HealthRow::Additivity { shard, snapshot } => Some((shard, snapshot)),
+            HealthRow::Additivity { snapshot } => Some(snapshot),
             HealthRow::Calibration { .. } => None,
         })
         .collect();
@@ -708,13 +669,12 @@ fn print_health(rows: &[HealthRow]) {
         let mut t = TextTable::new(
             "model calibration".to_string(),
             &[
-                "shard", "platform", "version", "samples", "MAE (J)", "MPE (%)", "coverage",
-                "drift", "state",
+                "platform", "version", "samples", "MAE (J)", "MPE (%)", "coverage", "drift",
+                "state",
             ],
         );
-        for (shard, c) in &calibration {
+        for c in &calibration {
             t.row(vec![
-                shard_label(shard),
                 c.platform.clone(),
                 c.version.to_string(),
                 c.samples.to_string(),
@@ -731,7 +691,6 @@ fn print_health(rows: &[HealthRow]) {
         let mut t = TextTable::new(
             "counter additivity".to_string(),
             &[
-                "shard",
                 "platform",
                 "counter",
                 "checks",
@@ -740,9 +699,8 @@ fn print_health(rows: &[HealthRow]) {
                 "worst (%)",
             ],
         );
-        for (shard, a) in &additivity {
+        for a in &additivity {
             t.row(vec![
-                shard_label(shard),
                 a.platform.clone(),
                 a.counter.clone(),
                 a.checks.to_string(),
@@ -957,7 +915,6 @@ mod tests {
         assert!(dispatch(&argv(&["query", "--addr", &addr, "STATS"])).is_ok());
         assert!(dispatch(&argv(&["query", "--addr", &addr, "MODELS"])).is_ok());
         assert!(dispatch(&argv(&["query", "--addr", &addr, "METRICS"])).is_ok());
-        assert!(dispatch(&argv(&["query", "--addr", &addr, "SHARDS"])).is_ok());
         assert!(dispatch(&argv(&["query", "--addr", &addr, "TRACE", "RECENT", "5"])).is_ok());
         assert!(dispatch(&argv(&["query", "--addr", &addr, "HEALTH"])).is_ok());
         assert!(dispatch(&argv(&["query", "--addr", &addr, "HISTORY"])).is_ok());
@@ -1023,19 +980,18 @@ mod tests {
     }
 
     #[test]
-    fn query_round_trips_against_a_sharded_evented_server() {
-        let router = Arc::new(
+    fn query_round_trips_against_an_evented_server() {
+        let service = Arc::new(
             ServiceConfig::default()
                 .cache_capacity(8)
                 .seed(1)
                 .transport(Transport::Evented)
                 .event_loops(2)
-                .build_sharded(2)
+                .build()
                 .unwrap(),
         );
-        let server = Server::start_router(router, "127.0.0.1:0").unwrap();
+        let server = Server::start(service, "127.0.0.1:0").unwrap();
         let addr = server.addr().to_string();
-        assert!(dispatch(&argv(&["query", "--addr", &addr, "SHARDS"])).is_ok());
         assert!(dispatch(&argv(&["query", "--addr", &addr, "STATS"])).is_ok());
         assert!(dispatch(&argv(&["query", "--addr", &addr, "MODELS"])).is_ok());
     }
@@ -1051,15 +1007,15 @@ mod tests {
         assert!(dispatch(&argv(&["serve", "--workers", "4"]))
             .unwrap_err()
             .contains("unknown option --workers"));
+        assert!(dispatch(&argv(&["serve", "--shards", "2"]))
+            .unwrap_err()
+            .contains("unknown option --shards"));
         assert!(dispatch(&argv(&["serve", "--cache", "none"]))
             .unwrap_err()
             .contains("positive"));
         assert!(dispatch(&argv(&["serve", "--trace-slow-ms", "soon"]))
             .unwrap_err()
             .contains("millisecond"));
-        assert!(dispatch(&argv(&["serve", "--shards", "0"]))
-            .unwrap_err()
-            .contains("positive"));
         assert!(dispatch(&argv(&["serve", "--event-loops", "none"]))
             .unwrap_err()
             .contains("positive"));

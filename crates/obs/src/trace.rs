@@ -10,11 +10,10 @@
 //! zero-duration `instant` markers — each stamped with nanoseconds
 //! since the request started and optional `key=value` attributes.
 //!
-//! The handle is an `Arc` underneath, so it crosses thread boundaries:
-//! the serving engine clones it into the job it pushes down the worker
-//! mpsc channel, which is how queue wait gets attributed to the
-//! originating request rather than to whichever worker dequeued it.
-//! Within a thread, [`scope`] installs the trace as the *current* one
+//! The handle is an `Arc` underneath, so clones are cheap and may cross
+//! thread boundaries; every stage still lands on the originating
+//! request's trace. Within a thread, [`scope`] installs the trace as the
+//! *current* one
 //! so deep substrate code ([`TraceSpan`], [`instant`]) can contribute
 //! events without any plumbing through intermediate signatures.
 //!
@@ -573,10 +572,6 @@ thread_local! {
     /// Connection id ambient to this thread (set by the server's
     /// per-connection handler so request traces inherit it).
     static CONNECTION: Cell<u64> = const { Cell::new(0) };
-    /// Shard index ambient to this thread (set by the shard router's
-    /// dispatcher around routed calls so request traces attribute their
-    /// stages to the owning shard).
-    static SHARD: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Install `trace` as the current trace for this thread until the
@@ -649,27 +644,6 @@ pub struct ConnectionScope {
 impl Drop for ConnectionScope {
     fn drop(&mut self) {
         CONNECTION.with(|connection| connection.set(self.saved));
-    }
-}
-
-/// Mark this thread as working for shard `index` until the guard
-/// drops. Traces started on the thread carry a `shard` attribute on
-/// their `request` begin event, so `TRACE` output attributes every
-/// stage to the owning shard in a `--shards N` deployment.
-pub fn shard_scope(index: usize) -> ShardScope {
-    let saved = SHARD.with(|shard| shard.replace(Some(index)));
-    ShardScope { saved }
-}
-
-/// Guard restoring the previous ambient shard index on drop.
-#[derive(Debug)]
-pub struct ShardScope {
-    saved: Option<usize>,
-}
-
-impl Drop for ShardScope {
-    fn drop(&mut self) {
-        SHARD.with(|shard| shard.set(self.saved));
     }
 }
 
@@ -885,8 +859,7 @@ impl Tracer {
     /// Start a trace for a request labelled `label` (e.g. `estimate`).
     /// Returns `None` on a disabled tracer. The trace inherits the
     /// thread's ambient connection id (see [`connection_scope`]) and
-    /// shard index (see [`shard_scope`]), and opens with a `request`
-    /// begin event carrying `attrs`.
+    /// opens with a `request` begin event carrying `attrs`.
     pub fn start(&self, label: &str, attrs: &[(&str, &str)]) -> Option<ActiveTrace> {
         let inner = self.inner.as_ref()?;
         let trace = ActiveTrace {
@@ -898,15 +871,11 @@ impl Tracer {
                 events: Mutex::new(Vec::with_capacity(16)),
             }),
         };
-        let mut attrs = own_attrs(attrs);
-        if let Some(index) = SHARD.with(Cell::get) {
-            attrs.push(("shard".to_string(), index.to_string()));
-        }
         trace.push(TraceEvent {
             name: "request".to_string(),
             kind: EventKind::Begin,
             at_ns: 0,
-            attrs,
+            attrs: own_attrs(attrs),
         });
         Some(trace)
     }
@@ -1081,32 +1050,6 @@ mod tests {
             assert_eq!(current().unwrap().id(), outer.id());
         }
         assert!(current().is_none());
-    }
-
-    #[test]
-    fn shard_scope_attributes_traces_to_the_owning_shard() {
-        let tracer = tracer();
-        let attributed = {
-            let _scope = shard_scope(3);
-            tracer
-                .start("estimate", &[("platform", "skylake")])
-                .unwrap()
-        };
-        tracer.finish(&attributed);
-        let plain = tracer.start("estimate", &[]).unwrap();
-        tracer.finish(&plain);
-        let recent = tracer.recent();
-        let begin_attrs = |trace: &Trace| trace.events[0].attrs.clone();
-        assert!(
-            begin_attrs(&recent[0])
-                .iter()
-                .any(|(k, v)| k == "shard" && v == "3"),
-            "{recent:?}"
-        );
-        assert!(
-            begin_attrs(&recent[1]).iter().all(|(k, _)| k != "shard"),
-            "no ambient shard, no label: {recent:?}"
-        );
     }
 
     #[test]

@@ -11,9 +11,9 @@
 
 use crate::engine::Estimate;
 use crate::protocol::{
-    parse_estimate_reply, parse_health_row, parse_history_row, parse_ok_fields, parse_shard_info,
-    parse_stream_status, Command, HealthRow, HistoryRow, ProtocolError, Request, ShardInfo, Tier,
-    TraceScope, STREAM_PUSH_COUNTS,
+    parse_estimate_reply, parse_health_row, parse_history_row, parse_ok_fields,
+    parse_stream_status, Command, HealthRow, HistoryRow, ProtocolError, Request, Tier, TraceScope,
+    STREAM_PUSH_COUNTS,
 };
 use pmca_stream::StreamStatus;
 use std::error::Error;
@@ -112,8 +112,6 @@ pub enum Response {
     },
     /// Status rows for every open stream (`STREAM LIST`).
     StreamList(Vec<StreamStatus>),
-    /// Per-shard ownership and counters (`SHARDS`).
-    Shards(Vec<ShardInfo>),
     /// Model-health rows — calibration and additivity (`HEALTH`).
     Health(Vec<HealthRow>),
     /// Metrics time-series snapshot rows (`HISTORY`).
@@ -283,14 +281,6 @@ impl Client {
                 Ok(Response::StreamList(
                     rows.iter()
                         .map(|row| parse_stream_status(row).map_err(ClientError::from))
-                        .collect::<Result<_, _>>()?,
-                ))
-            }
-            Command::Shards => {
-                let rows = self.counted_rows(&reply, command)?;
-                Ok(Response::Shards(
-                    rows.iter()
-                        .map(|row| parse_shard_info(row).map_err(ClientError::from))
                         .collect::<Result<_, _>>()?,
                 ))
             }
@@ -539,23 +529,9 @@ impl Client {
         }
     }
 
-    /// Per-shard ownership and counters, one [`ShardInfo`] per shard in
-    /// slot order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Protocol`] on a malformed listing.
-    pub fn shards(&mut self) -> Result<Vec<ShardInfo>, ClientError> {
-        match self.request(&Request::Shards)? {
-            Response::Shards(shards) => Ok(shards),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
     /// Model-health rows: per-platform calibration (accuracy, interval
     /// coverage, drift scores, state) and per-counter additivity
-    /// violation rates. Under sharding the listing starts with
-    /// `shard=all` aggregate rows followed by per-shard rows.
+    /// violation rates.
     ///
     /// # Errors
     ///
@@ -743,11 +719,6 @@ mod tests {
                 .any(|line| line.starts_with("pmca_serve_command_seconds")),
             "no command histogram in {metrics:?}"
         );
-
-        let shards = client.shards().unwrap();
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].shard, 0);
-        assert_eq!(shards[0].models, 1);
         client.quit().unwrap();
     }
 
@@ -768,9 +739,9 @@ mod tests {
         );
         let response = client.request(&Request::Stats).unwrap();
         assert!(matches!(response, Response::Fields(_)), "{response:?}");
-        let response = client.request(&Request::Shards).unwrap();
+        let response = client.request(&Request::Models).unwrap();
         assert!(
-            matches!(response, Response::Shards(ref s) if s.len() == 1),
+            matches!(response, Response::Listing(ref l) if l.len() == 1),
             "{response:?}"
         );
         assert_eq!(client.request(&Request::Quit).unwrap(), Response::Bye);

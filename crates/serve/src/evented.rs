@@ -25,7 +25,7 @@
 use crate::dispatch::Dispatcher;
 use crate::protocol::MAX_LINE;
 use crate::server::ConnectionGuard;
-use crate::shard::ShardRouter;
+use crate::service::EnergyService;
 use pmca_obs::trace;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -78,12 +78,11 @@ enum ConnState {
 /// each loop owns a disjoint set.
 pub(crate) fn run_event_loop(
     loop_index: usize,
-    router: Arc<ShardRouter>,
+    service: Arc<EnergyService>,
     rx: &mpsc::Receiver<TcpStream>,
     stop: &AtomicBool,
 ) {
-    let primary = router.primary();
-    let registry = primary.metrics_registry();
+    let registry = service.metrics_registry();
     let label = loop_index.to_string();
     let wakeups = registry.counter("pmca_serve_event_loop_wakeups_total", &[("loop", &label)]);
     let ready = registry.counter(
@@ -91,7 +90,7 @@ pub(crate) fn run_event_loop(
         &[("loop", &label)],
     );
     let connections = registry.gauge("pmca_serve_event_loop_connections", &[("loop", &label)]);
-    let dispatcher = Dispatcher::new(Arc::clone(&router));
+    let dispatcher = Dispatcher::new(Arc::clone(&service));
     let mut conns: Vec<Conn> = Vec::new();
     let mut tmp = vec![0_u8; READ_CHUNK];
     let mut out = String::new();
@@ -102,7 +101,7 @@ pub(crate) fn run_event_loop(
         if conns.is_empty() {
             match rx.recv_timeout(Duration::from_millis(5)) {
                 Ok(stream) => {
-                    if let Some(conn) = register(stream, &primary) {
+                    if let Some(conn) = register(stream, &service) {
                         conns.push(conn);
                     }
                 }
@@ -111,7 +110,7 @@ pub(crate) fn run_event_loop(
             }
         }
         while let Ok(stream) = rx.try_recv() {
-            if let Some(conn) = register(stream, &primary) {
+            if let Some(conn) = register(stream, &service) {
                 conns.push(conn);
             }
         }
@@ -150,16 +149,16 @@ fn approx_f64(n: usize) -> f64 {
     n as f64
 }
 
-fn register(stream: TcpStream, primary: &crate::service::EnergyService) -> Option<Conn> {
+fn register(stream: TcpStream, service: &EnergyService) -> Option<Conn> {
     stream.set_nonblocking(true).ok()?;
     // One reply per request line: without nodelay, Nagle + delayed ACK
     // stall every round trip by tens of milliseconds.
     let _ = stream.set_nodelay(true);
-    let conn_id = primary.tracer().next_connection();
+    let conn_id = service.tracer().next_connection();
     let peer = stream
         .peer_addr()
         .map_or_else(|_| "unknown".to_string(), |a| a.to_string());
-    let guard = ConnectionGuard::open(primary, conn_id, peer);
+    let guard = ConnectionGuard::open(service, conn_id, peer);
     Some(Conn {
         stream,
         read_buf: Vec::new(),

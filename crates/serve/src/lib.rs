@@ -76,7 +76,7 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 pub mod service;
-pub mod shard;
+mod shard;
 pub mod store;
 
 pub use cache::{RunCache, RunKey};
@@ -85,8 +85,8 @@ pub use engine::{EngineError, Estimate, InferenceEngine};
 pub use pmca_obs::{AdditivitySnapshot, CalibrationSnapshot, HealthState, HistorySnapshot, Trace};
 pub use pmca_stream::{ModelSnapshot, PushReply, StreamHub, StreamHubConfig, StreamStatus};
 pub use protocol::{
-    Command, HealthRow, HistoryRow, ProtocolError, Request, RequestRef, ShardInfo, Tier,
-    TraceScope, STREAM_PUSH_COUNTS,
+    Command, HealthRow, HistoryRow, ProtocolError, Request, RequestRef, Tier, TraceScope,
+    STREAM_PUSH_COUNTS,
 };
 pub use registry::{ModelKey, Registry, RegistryError, StoredModel};
 pub use server::Server;

@@ -15,7 +15,6 @@
 //! STATS
 //! METRICS
 //! TRACE [RECENT|SLOW|SLOWEST] [<limit>]
-//! SHARDS
 //! HEALTH
 //! HISTORY [<limit>]
 //! QUIT
@@ -23,7 +22,7 @@
 //!
 //! Parsing is `line → verb → [`Command`] → arguments`: every verb (and
 //! `STREAM` subcommand) maps onto one [`Command`] variant first, so
-//! serve, stream, and shard verbs share a single exhaustive match
+//! serve and stream verbs share a single exhaustive match
 //! instead of scattered string comparisons.
 //!
 //! The `STREAM` family is the streaming-ingestion surface: `OPEN`
@@ -43,14 +42,11 @@
 //! (`name{label="v"} value`; see `pmca_obs`). `TRACE` lines are JSONL —
 //! one event per line (see `pmca_obs::trace::Trace::to_jsonl`), grouped
 //! by trace, and `<limit>` caps how many *traces* (not lines) are
-//! dumped. `SHARDS` is also a counted listing: one `key=value` row per
-//! shard (see [`shard_info_fields`]) reporting ownership and counters.
-//! `HEALTH` and `HISTORY` are counted listings too: `HEALTH` reports the
-//! model-health plane — calibration rows (rolling MAE/MPE, empirical
-//! 95%-PI coverage, drift scores and state per platform) and additivity
-//! rows (per-counter violation rates), each labelled `shard=<i>` plus a
-//! merged `shard=all` view when sharded (see [`health_row_fields`]) —
-//! and `HISTORY` dumps the windowed metrics time series, one
+//! dumped. `HEALTH` and `HISTORY` are counted listings too: `HEALTH`
+//! reports the model-health plane — calibration rows (rolling MAE/MPE,
+//! empirical 95%-PI coverage, drift scores and state per platform) and
+//! additivity rows (per-counter violation rates; see
+//! [`health_row_fields`]) — and `HISTORY` dumps the windowed metrics time series, one
 //! `seq=.. metric=.. value=.. delta=..` row per metric per snapshot
 //! (see [`history_row_fields`]), with `<limit>` capping how many
 //! *snapshots* (not rows) are dumped.
@@ -119,9 +115,9 @@ impl ProtocolError {
 }
 
 /// Every protocol verb as a typed command. A request line resolves to a
-/// `Command` first (`parse → Command → arguments`), so serve, stream,
-/// and shard verbs share one exhaustive match instead of scattered
-/// string comparisons.
+/// `Command` first (`parse → Command → arguments`), so serve and stream
+/// verbs share one exhaustive match instead of scattered string
+/// comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Command {
     /// `ESTIMATE <platform> <pmc>=<count> ...`
@@ -148,8 +144,6 @@ pub enum Command {
     Metrics,
     /// `TRACE [RECENT|SLOW|SLOWEST] [<limit>]`
     Trace,
-    /// `SHARDS`
-    Shards,
     /// `HEALTH`
     Health,
     /// `HISTORY [<limit>]`
@@ -188,7 +182,6 @@ impl Command {
             ("STATS", Command::Stats),
             ("METRICS", Command::Metrics),
             ("TRACE", Command::Trace),
-            ("SHARDS", Command::Shards),
             ("HEALTH", Command::Health),
             ("HISTORY", Command::History),
             ("QUIT", Command::Quit),
@@ -201,7 +194,7 @@ impl Command {
     }
 
     /// The command's canonical wire spelling (`"STREAM OPEN"`,
-    /// `"SHARDS"`, ...), as used in error messages and `to_line`.
+    /// `"HEALTH"`, ...), as used in error messages and `to_line`.
     pub fn wire_name(self) -> &'static str {
         match self {
             Command::Estimate => "ESTIMATE",
@@ -216,7 +209,6 @@ impl Command {
             Command::Stats => "STATS",
             Command::Metrics => "METRICS",
             Command::Trace => "TRACE",
-            Command::Shards => "SHARDS",
             Command::Health => "HEALTH",
             Command::History => "HISTORY",
             Command::Quit => "QUIT",
@@ -239,7 +231,6 @@ impl Command {
             Command::Stats => "stats",
             Command::Metrics => "metrics",
             Command::Trace => "trace",
-            Command::Shards => "shards",
             Command::Health => "health",
             Command::History => "history",
             Command::Quit => "quit",
@@ -254,7 +245,6 @@ impl Command {
                 | Command::Models
                 | Command::Stats
                 | Command::Metrics
-                | Command::Shards
                 | Command::Health
                 | Command::Quit
         )
@@ -394,10 +384,8 @@ pub enum Request {
         /// Cap on the number of traces (not lines) dumped.
         limit: Option<usize>,
     },
-    /// Report per-shard ownership and counters.
-    Shards,
     /// Report the model-health plane: calibration, drift, and
-    /// additivity rows per shard plus the merged view.
+    /// additivity rows.
     Health,
     /// Dump the windowed metrics time series.
     History {
@@ -740,7 +728,6 @@ fn parse_cold(command: Command, rest: &[&str]) -> Result<Request, ProtocolError>
         Command::Stats => Ok(Request::Stats),
         Command::Metrics => Ok(Request::Metrics),
         Command::Trace => parse_trace_args(rest),
-        Command::Shards => Ok(Request::Shards),
         Command::Health => Ok(Request::Health),
         Command::History => match rest {
             [] => Ok(Request::History { limit: None }),
@@ -836,7 +823,6 @@ impl Request {
                 Some(limit) => format!("TRACE {} {limit}", scope.as_str()),
                 None => format!("TRACE {}", scope.as_str()),
             },
-            Request::Shards => "SHARDS".to_string(),
             Request::Health => "HEALTH".to_string(),
             Request::History { limit } => match limit {
                 Some(limit) => format!("HISTORY {limit}"),
@@ -861,7 +847,6 @@ impl Request {
             Request::Stats => Command::Stats,
             Request::Metrics => Command::Metrics,
             Request::Trace { .. } => Command::Trace,
-            Request::Shards => Command::Shards,
             Request::Health => Command::Health,
             Request::History { .. } => Command::History,
             Request::Quit => Command::Quit,
@@ -1076,115 +1061,29 @@ pub fn parse_stream_status(line: &str) -> Result<StreamStatus, ProtocolError> {
     })
 }
 
-/// One shard's ownership and counters — one row of a `SHARDS` reply.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardInfo {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Platforms whose consistent-hash point lands on this shard.
-    pub owns: Vec<String>,
-    /// Registered model versions in this shard's store.
-    pub models: usize,
-    /// Open telemetry streams on this shard.
-    pub streams: usize,
-    /// Estimates served by this shard.
-    pub served: u64,
-    /// Request errors on this shard.
-    pub errors: u64,
-    /// Run-cache entries held by this shard.
-    pub cache_entries: usize,
-}
-
-/// The `key=value` fields of one shard's `SHARDS` row. An empty
-/// ownership list renders as `owns=-` so the row stays parseable
-/// (fields are whitespace-separated).
-pub fn shard_info_fields(info: &ShardInfo) -> String {
-    let owns = if info.owns.is_empty() {
-        "-".to_string()
-    } else {
-        info.owns.join(",")
-    };
-    format!(
-        "shard={} owns={} models={} streams={} served={} errors={} cache-entries={}",
-        info.shard, owns, info.models, info.streams, info.served, info.errors, info.cache_entries
-    )
-}
-
-/// Parse a `SHARDS` listing row (with or without a leading `OK`) back
-/// into a [`ShardInfo`] (client side).
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::Server`] with the server's `ERR` message, or
-/// [`ProtocolError::MalformedReply`] for a row that does not parse.
-pub fn parse_shard_info(line: &str) -> Result<ShardInfo, ProtocolError> {
-    let trimmed = line.trim();
-    let with_ok;
-    let fields = if trimmed.starts_with("OK") || trimmed.starts_with("ERR ") {
-        parse_ok_fields(trimmed)?
-    } else {
-        with_ok = format!("OK {trimmed}");
-        parse_ok_fields(&with_ok)?
-    };
-    let get = |key: &str| {
-        fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| ProtocolError::MalformedReply(format!("missing {key} in {line:?}")))
-    };
-    fn number<T: std::str::FromStr>(raw: &str, key: &str, line: &str) -> Result<T, ProtocolError> {
-        raw.parse()
-            .map_err(|_| ProtocolError::MalformedReply(format!("bad {key} in {line:?}")))
-    }
-    let owns = match get("owns")? {
-        "-" => Vec::new(),
-        list => list.split(',').map(str::to_string).collect(),
-    };
-    Ok(ShardInfo {
-        shard: number(get("shard")?, "shard", line)?,
-        owns,
-        models: number(get("models")?, "models", line)?,
-        streams: number(get("streams")?, "streams", line)?,
-        served: number(get("served")?, "served", line)?,
-        errors: number(get("errors")?, "errors", line)?,
-        cache_entries: number(get("cache-entries")?, "cache-entries", line)?,
-    })
-}
-
 /// One row of a `HEALTH` reply: a calibration readout or an additivity
-/// readout, tagged with the shard it came from (`None` is the merged
-/// `shard=all` view a sharded server prepends).
+/// readout.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HealthRow {
     /// Rolling calibration/drift readout for one platform.
     Calibration {
-        /// Reporting shard, `None` for the cross-shard aggregate.
-        shard: Option<usize>,
         /// The readout itself.
         snapshot: CalibrationSnapshot,
     },
     /// Additivity-violation readout for one `(platform, counter)`.
     Additivity {
-        /// Reporting shard, `None` for the cross-shard aggregate.
-        shard: Option<usize>,
         /// The readout itself.
         snapshot: AdditivitySnapshot,
     },
-}
-
-fn shard_label(shard: Option<usize>) -> String {
-    shard.map_or_else(|| "all".to_string(), |i| i.to_string())
 }
 
 /// The `key=value` fields of one `HEALTH` row. The first field is
 /// always `kind=` so a client can dispatch without sniffing.
 pub fn health_row_fields(row: &HealthRow) -> String {
     match row {
-        HealthRow::Calibration { shard, snapshot } => format!(
-            "kind=calibration shard={} platform={} version={} samples={} mae={} mpe={} \
+        HealthRow::Calibration { snapshot } => format!(
+            "kind=calibration platform={} version={} samples={} mae={} mpe={} \
              coverage={} covered={} cusum={} ph={} state={}",
-            shard_label(*shard),
             snapshot.platform,
             snapshot.version,
             snapshot.samples,
@@ -1196,10 +1095,8 @@ pub fn health_row_fields(row: &HealthRow) -> String {
             snapshot.page_hinkley,
             snapshot.state.as_str()
         ),
-        HealthRow::Additivity { shard, snapshot } => format!(
-            "kind=additivity shard={} platform={} counter={} checks={} violations={} \
-             rate={} worst={}",
-            shard_label(*shard),
+        HealthRow::Additivity { snapshot } => format!(
+            "kind=additivity platform={} counter={} checks={} violations={} rate={} worst={}",
             snapshot.platform,
             snapshot.counter,
             snapshot.checks,
@@ -1237,13 +1134,8 @@ pub fn parse_health_row(line: &str) -> Result<HealthRow, ProtocolError> {
         raw.parse()
             .map_err(|_| ProtocolError::MalformedReply(format!("bad {key} in {line:?}")))
     }
-    let shard = match get("shard")? {
-        "all" => None,
-        raw => Some(number(raw, "shard", line)?),
-    };
     match get("kind")? {
         "calibration" => Ok(HealthRow::Calibration {
-            shard,
             snapshot: CalibrationSnapshot {
                 platform: get("platform")?.to_string(),
                 version: number(get("version")?, "version", line)?,
@@ -1260,7 +1152,6 @@ pub fn parse_health_row(line: &str) -> Result<HealthRow, ProtocolError> {
             },
         }),
         "additivity" => Ok(HealthRow::Additivity {
-            shard,
             snapshot: AdditivitySnapshot {
                 platform: get("platform")?.to_string(),
                 counter: get("counter")?.to_string(),
@@ -1465,7 +1356,6 @@ mod tests {
                 scope: TraceScope::Slowest,
                 limit: None,
             },
-            Request::Shards,
             Request::Health,
             Request::History { limit: None },
             Request::History { limit: Some(4) },
@@ -1503,7 +1393,6 @@ mod tests {
     #[test]
     fn health_rows_round_trip() {
         let calibration = HealthRow::Calibration {
-            shard: Some(1),
             snapshot: CalibrationSnapshot {
                 platform: "skylake".to_string(),
                 version: 12,
@@ -1518,16 +1407,17 @@ mod tests {
             },
         };
         let row = health_row_fields(&calibration);
-        assert!(row.starts_with("kind=calibration shard=1 "), "{row}");
+        assert!(
+            row.starts_with("kind=calibration platform=skylake "),
+            "{row}"
+        );
         assert_eq!(parse_health_row(&row).unwrap(), calibration);
         assert_eq!(
             parse_health_row(&format!("OK {row}")).unwrap(),
             calibration,
             "leading OK is accepted"
         );
-        // The merged view renders shard=all and parses back to None.
         let additivity = HealthRow::Additivity {
-            shard: None,
             snapshot: AdditivitySnapshot {
                 platform: "haswell".to_string(),
                 counter: "UOPS_EXECUTED_CORE".to_string(),
@@ -1538,18 +1428,21 @@ mod tests {
             },
         };
         let row = health_row_fields(&additivity);
-        assert!(row.contains("shard=all"), "{row}");
+        assert!(
+            row.starts_with("kind=additivity platform=haswell "),
+            "{row}"
+        );
         assert_eq!(parse_health_row(&row).unwrap(), additivity);
         assert!(matches!(
             parse_health_row("ERR health disabled"),
             Err(ProtocolError::Server(_))
         ));
         assert!(matches!(
-            parse_health_row("kind=frobnicate shard=0"),
+            parse_health_row("kind=frobnicate platform=x"),
             Err(ProtocolError::MalformedReply(_))
         ));
         assert!(matches!(
-            parse_health_row("kind=calibration shard=0 platform=x"),
+            parse_health_row("kind=calibration platform=x"),
             Err(ProtocolError::MalformedReply(_))
         ));
     }
@@ -1698,6 +1591,11 @@ mod tests {
             Request::parse("FROBNICATE"),
             Err(ProtocolError::UnknownCommand("FROBNICATE".to_string()))
         );
+        // SHARDS was retired with in-process sharding.
+        assert_eq!(
+            Request::parse("shards"),
+            Err(ProtocolError::UnknownCommand("SHARDS".to_string()))
+        );
         for bad in [
             "ESTIMATE",
             "ESTIMATE skylake",
@@ -1708,7 +1606,7 @@ mod tests {
             "TRAIN skylake , dgemm:9000",
             "STATS now",
             "METRICS now",
-            "SHARDS now",
+            "HEALTH now",
             "QUIT now",
             "STREAM",
             "STREAM OPEN s1 dgemm:9000 skylake",
@@ -1741,12 +1639,12 @@ mod tests {
                 .command_label(),
             "estimate-app"
         );
-        assert_eq!(Request::Shards.command_label(), "shards");
+        assert_eq!(Request::Health.command_label(), "health");
     }
 
     #[test]
     fn commands_resolve_verbs_case_insensitively() {
-        assert_eq!(Command::parse("shards", None), Some(Command::Shards));
+        assert_eq!(Command::parse("health", None), Some(Command::Health));
         assert_eq!(
             Command::parse("Stream", Some("open")),
             Some(Command::StreamOpen)
@@ -1755,49 +1653,13 @@ mod tests {
         assert_eq!(Command::parse("STREAM", Some("FROB")), None);
         assert_eq!(Command::parse("FROBNICATE", None), None);
         assert_eq!(Command::StreamOpen.wire_name(), "STREAM OPEN");
-        assert_eq!(Command::Shards.to_string(), "SHARDS");
-        assert!(Command::Shards.takes_no_arguments());
+        assert_eq!(Command::Health.to_string(), "HEALTH");
+        assert!(Command::Health.takes_no_arguments());
         assert!(!Command::Train.takes_no_arguments());
         // Request round trip agrees with the verb table.
-        assert_eq!(Request::parse("SHARDS").unwrap(), Request::Shards);
-        assert_eq!(Request::Shards.to_line(), "SHARDS");
-        assert_eq!(Request::parse("SHARDS").unwrap().command(), Command::Shards);
-    }
-
-    #[test]
-    fn shard_info_rows_round_trip() {
-        let info = ShardInfo {
-            shard: 2,
-            owns: vec!["haswell".to_string(), "skylake".to_string()],
-            models: 3,
-            streams: 7,
-            served: 1_234,
-            errors: 1,
-            cache_entries: 42,
-        };
-        let row = shard_info_fields(&info);
-        assert_eq!(parse_shard_info(&row).unwrap(), info);
-        assert_eq!(
-            parse_shard_info(&format!("OK {row}")).unwrap(),
-            info,
-            "leading OK is accepted"
-        );
-        // An ownerless shard renders `owns=-` and parses back empty.
-        let idle = ShardInfo {
-            shard: 0,
-            ..ShardInfo::default()
-        };
-        let row = shard_info_fields(&idle);
-        assert!(row.contains("owns=-"), "{row}");
-        assert_eq!(parse_shard_info(&row).unwrap(), idle);
-        assert!(matches!(
-            parse_shard_info("ERR no shards"),
-            Err(ProtocolError::Server(_))
-        ));
-        assert!(matches!(
-            parse_shard_info("OK shard=0"),
-            Err(ProtocolError::MalformedReply(_))
-        ));
+        assert_eq!(Request::parse("HEALTH").unwrap(), Request::Health);
+        assert_eq!(Request::Health.to_line(), "HEALTH");
+        assert_eq!(Request::parse("HEALTH").unwrap().command(), Command::Health);
     }
 
     #[test]

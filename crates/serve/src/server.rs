@@ -9,17 +9,14 @@
 //!   set of nonblocking event-loop threads (the `evented` module), so
 //!   mostly-idle fleets do not cost a thread per connection.
 //!
-//! Both speak the line protocol from [`crate::protocol`] through a
-//! shard-aware dispatcher over a [`ShardRouter`] —
-//! [`Server::start`] wraps a single service in a one-shard router, and
-//! [`Server::start_router`] serves a sharded group. Binding to port 0
-//! picks an ephemeral port — [`Server::addr`] reports the bound
+//! Both speak the line protocol from [`crate::protocol`] through one
+//! dispatcher over the process's one [`EnergyService`]. Binding to
+//! port 0 picks an ephemeral port — [`Server::addr`] reports the bound
 //! address, which is how tests and the loadgen find the server.
 
 use crate::dispatch::Dispatcher;
 use crate::protocol::MAX_LINE;
 use crate::service::{EnergyService, Transport};
-use crate::shard::ShardRouter;
 use pmca_obs::{log, trace, Gauge};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -73,8 +70,7 @@ impl Drop for ConnectionGuard {
 /// run until their client disconnects.
 pub struct Server {
     addr: SocketAddr,
-    primary: Arc<EnergyService>,
-    router: Arc<ShardRouter>,
+    service: Arc<EnergyService>,
     stop: Arc<AtomicBool>,
     accept_handle: Option<thread::JoinHandle<()>>,
     loop_handles: Vec<thread::JoinHandle<()>>,
@@ -82,41 +78,29 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (use `127.0.0.1:0` for an ephemeral port) and start
-    /// accepting connections against `service` — a one-shard router.
-    /// The service's [`Transport`] picks the connection model.
+    /// accepting connections against `service`. The service's
+    /// [`Transport`] and event-loop count pick the connection model.
     ///
     /// # Errors
     ///
     /// Returns the bind error.
     pub fn start(service: Arc<EnergyService>, addr: &str) -> io::Result<Server> {
-        Server::start_router(Arc::new(ShardRouter::single(service)), addr)
-    }
-
-    /// Bind `addr` and serve a sharded group. The primary shard's
-    /// [`Transport`] and event-loop count configure the front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error.
-    pub fn start_router(router: Arc<ShardRouter>, addr: &str) -> io::Result<Server> {
-        let primary = router.primary();
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let transport = primary.transport();
+        let transport = service.transport();
         log::info(
             "serve",
             "listening",
             &[
                 ("addr", &local_addr.to_string()),
                 ("transport", transport.as_str()),
-                ("shards", &router.shard_count().to_string()),
             ],
         );
         let stop = Arc::new(AtomicBool::new(false));
         let mut loop_handles = Vec::new();
         let accept_handle = match transport {
             Transport::Threaded => {
-                let router = Arc::clone(&router);
+                let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
                 thread::Builder::new()
                     .name("pmca-accept".to_string())
@@ -126,26 +110,26 @@ impl Server {
                                 break;
                             }
                             let Ok(stream) = stream else { continue };
-                            let router = Arc::clone(&router);
+                            let service = Arc::clone(&service);
                             let _ = thread::Builder::new()
                                 .name("pmca-conn".to_string())
-                                .spawn(move || handle_connection(stream, &router));
+                                .spawn(move || handle_connection(stream, service));
                         }
                     })?
             }
             Transport::Evented => {
-                let loops = primary.event_loops();
+                let loops = service.event_loops();
                 let mut senders = Vec::with_capacity(loops);
                 for index in 0..loops {
                     let (tx, rx) = mpsc::channel::<TcpStream>();
                     senders.push(tx);
-                    let router = Arc::clone(&router);
+                    let service = Arc::clone(&service);
                     let stop = Arc::clone(&stop);
                     loop_handles.push(
                         thread::Builder::new()
                             .name(format!("pmca-loop-{index}"))
                             .spawn(move || {
-                                crate::evented::run_event_loop(index, router, &rx, &stop);
+                                crate::evented::run_event_loop(index, service, &rx, &stop);
                             })?,
                     );
                 }
@@ -171,8 +155,7 @@ impl Server {
         };
         Ok(Server {
             addr: local_addr,
-            primary,
-            router,
+            service,
             stop,
             accept_handle: Some(accept_handle),
             loop_handles,
@@ -184,15 +167,9 @@ impl Server {
         self.addr
     }
 
-    /// The primary shard's service (slot 0 — the whole service when not
-    /// sharded).
+    /// The service behind the server.
     pub fn service(&self) -> &Arc<EnergyService> {
-        &self.primary
-    }
-
-    /// The shard router behind the server.
-    pub fn router(&self) -> &Arc<ShardRouter> {
-        &self.router
+        &self.service
     }
 
     /// Stop accepting connections, join the accept thread, and join the
@@ -219,16 +196,15 @@ impl Drop for Server {
     }
 }
 
-fn handle_connection(stream: TcpStream, router: &Arc<ShardRouter>) {
+fn handle_connection(stream: TcpStream, service: Arc<EnergyService>) {
     // One reply per request line: without nodelay, Nagle + delayed ACK
     // stall every round trip by tens of milliseconds.
     let _ = stream.set_nodelay(true);
-    let primary = router.primary();
-    let conn_id = primary.tracer().next_connection();
+    let conn_id = service.tracer().next_connection();
     let peer = stream
         .peer_addr()
         .map_or_else(|_| "unknown".to_string(), |a| a.to_string());
-    let _guard = ConnectionGuard::open(&primary, conn_id, peer);
+    let _guard = ConnectionGuard::open(&service, conn_id, peer);
     // Requests traced on this thread carry the connection id.
     let _conn_scope = trace::connection_scope(conn_id);
     let Ok(read_half) = stream.try_clone() else {
@@ -236,7 +212,7 @@ fn handle_connection(stream: TcpStream, router: &Arc<ShardRouter>) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    let dispatcher = Dispatcher::new(Arc::clone(router));
+    let dispatcher = Dispatcher::new(service);
     let mut line = String::new();
     let mut lines: Vec<String> = Vec::new();
     let mut out = String::new();
@@ -337,6 +313,22 @@ mod tests {
         assert!(roundtrip(&stream, "ESTIMATE skylake A=1").starts_with("ERR "));
         // Still answers after errors.
         assert!(roundtrip(&stream, "STATS").starts_with("OK served="));
+    }
+
+    #[test]
+    fn shards_verb_is_an_unknown_command_over_tcp() {
+        let server = Server::start(service_with_model(), "127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        // SHARDS was retired with in-process sharding.
+        assert_eq!(
+            roundtrip(&stream, "SHARDS"),
+            r#"ERR unknown command "SHARDS""#
+        );
+        // The connection stays usable.
+        assert_eq!(
+            roundtrip(&stream, "ESTIMATE skylake A=10 B=1"),
+            "OK joules=23 ci=0 family=online version=1"
+        );
     }
 
     #[test]
@@ -572,28 +564,6 @@ mod tests {
                 .any(|l| l.starts_with("pmca_serve_event_loop_ready_events_total{loop=\"")),
             "{lines:?}"
         );
-    }
-
-    #[test]
-    fn shards_verb_reports_ownership_over_tcp() {
-        let server = Server::start(service_with_model(), "127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        writeln!(writer, "SHARDS").unwrap();
-        let mut reader = BufReader::new(stream);
-        let mut header = String::new();
-        reader.read_line(&mut header).unwrap();
-        assert_eq!(header.trim_end(), "OK count=1");
-        let mut row = String::new();
-        reader.read_line(&mut row).unwrap();
-        let info = crate::protocol::parse_shard_info(row.trim_end()).unwrap();
-        assert_eq!(info.shard, 0);
-        assert_eq!(
-            info.owns,
-            vec!["haswell".to_string(), "skylake".to_string()],
-            "a single shard owns every platform"
-        );
-        assert_eq!(info.models, 1);
     }
 
     #[test]

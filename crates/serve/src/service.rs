@@ -401,55 +401,6 @@ impl ServiceConfig {
         self.build_with_registry(metrics_registry)
     }
 
-    /// Build a sharded deployment: `shards` services behind a
-    /// [`ShardRouter`](crate::shard::ShardRouter), all sharing one
-    /// metrics registry so `METRICS` reports fleet-wide instruments.
-    ///
-    /// Shard 0 is the primary and keeps this config's storage shape
-    /// (file-backed when [`registry_dir`](ServiceConfig::registry_dir)
-    /// is set); shards 1.. are in-memory replicas restored from the
-    /// primary's [`snapshot`](crate::store::ModelStore::snapshot), so
-    /// every shard starts from the same model set and routing decides
-    /// ownership.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError`] when the primary's registry directory
-    /// fails to load or any replica fails to restore the snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache_capacity` is zero.
-    pub fn build_sharded(self, shards: usize) -> Result<crate::shard::ShardRouter, RegistryError> {
-        let shards = shards.max(1);
-        if shards == 1 {
-            return Ok(crate::shard::ShardRouter::single(Arc::new(self.build()?)));
-        }
-        let metrics_registry = if self.metrics {
-            Arc::clone(MetricsRegistry::global())
-        } else {
-            Arc::new(MetricsRegistry::disabled())
-        };
-        // Replicas never own the registry directory — the primary is the
-        // durable copy; replicas restore from its snapshot below.
-        let mut replica_config = self.clone();
-        replica_config.registry_dir = None;
-        replica_config.trace_log = None;
-        let primary = Arc::new(self.build_with_registry(Arc::clone(&metrics_registry))?);
-        let snapshot = primary.store().snapshot();
-        let mut services = vec![primary];
-        for _ in 1..shards {
-            let replica = Arc::new(
-                replica_config
-                    .clone()
-                    .build_with_registry(Arc::clone(&metrics_registry))?,
-            );
-            replica.store().restore(&snapshot)?;
-            services.push(replica);
-        }
-        Ok(crate::shard::ShardRouter::new(services))
-    }
-
     /// [`build`](ServiceConfig::build) against an explicit metrics
     /// registry instead of the global/disabled pair — lets tests assert
     /// exact instrument values without cross-test interference.
@@ -477,11 +428,8 @@ impl ServiceConfig {
             Some(dir) => Arc::new(FileStore::open(dir, &metrics_registry)?),
             None => Arc::new(MemoryStore::with_metrics(&metrics_registry)),
         };
-        // Per-service (so per-shard) health registry: calibration rows
-        // gathered by the dispatcher carry `shard=<i>` labels because
-        // each shard's EnergyService owns its own trackers — the metrics
-        // registry is the one instrument set shared fleet-wide, health
-        // is not.
+        // Per-service health registry: the metrics registry may be the
+        // process-wide one, health trackers never are.
         let health = if self.health {
             Arc::new(HealthRegistry::new(HealthConfig::default()))
         } else {
@@ -738,8 +686,7 @@ impl EnergyService {
     }
 
     /// The storage layer behind this service's registry API — the
-    /// handle shard routers snapshot for failover and restore into
-    /// replacement shards.
+    /// handle a snapshot is taken from and restored into.
     pub fn store(&self) -> &Arc<dyn ModelStore> {
         &self.store
     }
@@ -1580,6 +1527,34 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.cache_evictions, 0);
         assert_eq!(stats.cache_entries, 1);
+    }
+
+    #[test]
+    fn dropping_a_service_returns_its_open_streams_gauge_share() {
+        // `build()` puts every service in a process on the global
+        // registry, so a dropped service's hub must hand back its share
+        // of the shared gauge.
+        let registry = Arc::new(MetricsRegistry::new());
+        let gauge = registry.gauge("pmca_stream_open_streams", &[]);
+        let build = || {
+            ServiceConfig::default()
+                .cache_capacity(8)
+                .build_with_registry(Arc::clone(&registry))
+                .unwrap()
+        };
+        let survivor = build();
+        survivor
+            .stream_open("keep", "dgemm:8000", "skylake", 8)
+            .unwrap();
+        {
+            let dropped = build();
+            dropped
+                .stream_open("x", "dgemm:8000", "skylake", 8)
+                .unwrap();
+            dropped.stream_open("y", "fft:24000", "skylake", 8).unwrap();
+            assert_eq!(gauge.get(), 3.0);
+        }
+        assert_eq!(gauge.get(), 1.0, "only the survivor's stream remains");
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Pluggable model storage behind the serving registry.
 //!
-//! The [`ModelStore`] trait is the API the service (and each shard of a
-//! sharded server) talks to instead of a concrete [`Registry`]: get,
-//! put, list, and — the part sharding needs — a versioned
+//! The [`ModelStore`] trait is the API the service talks to instead of
+//! a concrete [`Registry`]: get, put, list, and a versioned
 //! [`snapshot`](ModelStore::snapshot) / [`restore`](ModelStore::restore)
 //! pair. Snapshots carry every stored version as the registry's own
 //! plain-text entry format, which round-trips coefficients exactly, so a
-//! shard restored from a snapshot answers **bit-identical** estimates.
+//! service restored from a snapshot answers **bit-identical** estimates.
 //!
 //! Two implementations ship:
 //!
-//! - [`MemoryStore`] — an in-memory replica (the default store, and what
-//!   a fresh failover shard restores into);
+//! - [`MemoryStore`] — an in-memory store (the default, and what a
+//!   fresh service restores a snapshot into);
 //! - [`FileStore`] — the file-backed registry: loads a directory at open
 //!   and writes every [`put`](ModelStore::put) through to disk, one
 //!   plain-text file per version.
@@ -29,7 +28,7 @@ use std::sync::{Arc, RwLock};
 ///
 /// `entries` hold one plain-text registry entry per stored version (see
 /// [`encode_entry`]); `mutations` is the store's mutation count at the
-/// moment the snapshot was taken, so a router can tell which of two
+/// moment the snapshot was taken, so a caller can tell which of two
 /// snapshots of the same store is newer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistrySnapshot {
@@ -51,7 +50,7 @@ impl RegistrySnapshot {
     }
 }
 
-/// Storage API the service and shards program against.
+/// Storage API the service programs against.
 ///
 /// All methods take `&self`: implementations are internally synchronized
 /// and shared as `Arc<dyn ModelStore>` across connection handlers, event

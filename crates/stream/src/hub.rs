@@ -919,9 +919,9 @@ impl StreamHub {
 
 impl Drop for StreamHub {
     /// Give back the hub's share of the `pmca_stream_open_streams`
-    /// gauge. In a sharded deployment every hub records into the one
-    /// shared registry, so a shard replaced (failover) while holding
-    /// open streams would otherwise inflate the gauge forever.
+    /// gauge. Every service a process builds records into the one
+    /// global registry, so a hub dropped while holding open streams
+    /// would otherwise inflate the gauge forever.
     fn drop(&mut self) {
         let open = self.open_count.load(Ordering::Relaxed);
         if open > 0 {
@@ -1258,7 +1258,7 @@ mod tests {
             replaced.open("y", "app", "skylake", 4).unwrap();
             assert_eq!(gauge.get(), 3.0);
         }
-        // The replaced shard's hub gave back exactly its own share.
+        // The dropped hub gave back exactly its own share.
         assert_eq!(gauge.get(), 1.0);
     }
 }

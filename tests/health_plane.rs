@@ -1,8 +1,6 @@
-//! Model-health plane over the full serving stack (ISSUE tentpole +
-//! satellite): `HEALTH` / `HISTORY` round trips over TCP, cross-shard
-//! aggregation with `shard=all` rows, METRICS/TRACE consistency under
-//! `--shards 2` on both transports, and gauge sanity across a shard
-//! `replace()` failover.
+//! Model-health plane over the full serving stack: `HEALTH` / `HISTORY`
+//! round trips over TCP, and METRICS/TRACE consistency across both
+//! transports.
 
 use pmca_serve::{
     Client, HealthRow, HealthState, Server, ServiceConfig, Trace, TraceScope, Transport,
@@ -32,19 +30,19 @@ fn ladder() -> Vec<String> {
         .collect()
 }
 
-fn calibration_rows(rows: &[HealthRow]) -> Vec<(Option<usize>, &pmca_serve::CalibrationSnapshot)> {
+fn calibration_rows(rows: &[HealthRow]) -> Vec<&pmca_serve::CalibrationSnapshot> {
     rows.iter()
         .filter_map(|row| match row {
-            HealthRow::Calibration { shard, snapshot } => Some((*shard, snapshot)),
+            HealthRow::Calibration { snapshot } => Some(snapshot),
             HealthRow::Additivity { .. } => None,
         })
         .collect()
 }
 
-fn additivity_rows(rows: &[HealthRow]) -> Vec<(Option<usize>, &pmca_serve::AdditivitySnapshot)> {
+fn additivity_rows(rows: &[HealthRow]) -> Vec<&pmca_serve::AdditivitySnapshot> {
     rows.iter()
         .filter_map(|row| match row {
-            HealthRow::Additivity { shard, snapshot } => Some((*shard, snapshot)),
+            HealthRow::Additivity { snapshot } => Some(snapshot),
             HealthRow::Calibration { .. } => None,
         })
         .collect()
@@ -69,8 +67,7 @@ fn train_holdout_and_labelled_streams_populate_health_over_tcp() {
     let rows = client.health().unwrap();
     let calibration = calibration_rows(&rows);
     assert_eq!(calibration.len(), 1, "{rows:?}");
-    let (shard, c) = &calibration[0];
-    assert_eq!(*shard, Some(0), "single shard labels itself 0");
+    let c = &calibration[0];
     assert_eq!(c.platform, "skylake");
     assert_eq!(c.version, 1);
     assert!(c.samples >= 10, "holdout fed every training pair: {c:?}");
@@ -106,7 +103,7 @@ fn train_holdout_and_labelled_streams_populate_health_over_tcp() {
         STREAM_PUSH_COUNTS,
         "one row per deployable counter: {rows:?}"
     );
-    for (_, a) in &additivity {
+    for a in &additivity {
         assert_eq!(a.platform, "skylake");
         assert_eq!(a.checks, 1, "{a:?}");
         assert_eq!(a.violations, 0, "additive counts violate nothing: {a:?}");
@@ -114,9 +111,9 @@ fn train_holdout_and_labelled_streams_populate_health_over_tcp() {
     }
 
     // Labelled pushes keep growing the calibration sample count.
-    let before = calibration_rows(&client.health().unwrap())[0].1.samples;
+    let before = calibration_rows(&client.health().unwrap())[0].samples;
     client.stream_push("sa", 1, base_a, Some(250.0)).unwrap();
-    let after = calibration_rows(&client.health().unwrap())[0].1.samples;
+    let after = calibration_rows(&client.health().unwrap())[0].samples;
     assert!(
         after > before,
         "labelled push observed: {before} -> {after}"
@@ -186,63 +183,19 @@ fn history_retains_multiple_snapshots_and_honours_the_limit() {
     assert!(err.starts_with("ERR"), "{err}");
 }
 
-fn sharded_health_reports_aggregate_and_per_shard_rows_on(transport: Transport) {
-    let router = Arc::new(
-        ServiceConfig::default()
-            .cache_capacity(64)
-            .seed(17)
-            .transport(transport)
-            .event_loops(2)
-            .build_sharded(2)
-            .unwrap(),
-    );
-    let owner = router.route_index("skylake");
-    let server = Server::start_router(Arc::clone(&router), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    client.train("skylake", &good_set(), &ladder()).unwrap();
-
-    let rows = client.health().unwrap();
-    let calibration = calibration_rows(&rows);
-    // With >1 shard the listing starts with a merged shard=all row,
-    // then the per-shard rows — here only the owner reports.
-    assert_eq!(calibration.len(), 2, "{rows:?}");
-    let (all_shard, all) = &calibration[0];
-    assert_eq!(*all_shard, None, "aggregate first: {rows:?}");
-    let (per_shard, per) = &calibration[1];
-    assert_eq!(*per_shard, Some(owner), "{rows:?}");
-    assert_eq!(all.platform, per.platform);
-    assert_eq!(
-        all.samples, per.samples,
-        "one reporting shard: merge is identity"
-    );
-    assert!((all.mae - per.mae).abs() < 1e-12);
-    assert_eq!(all.state, per.state);
-    client.quit().unwrap();
-}
-
-#[test]
-fn sharded_health_reports_aggregate_and_per_shard_rows() {
-    sharded_health_reports_aggregate_and_per_shard_rows_on(Transport::Threaded);
-}
-
-#[test]
-fn sharded_health_reports_aggregate_and_per_shard_rows_evented() {
-    sharded_health_reports_aggregate_and_per_shard_rows_on(Transport::Evented);
-}
-
-/// Drive an identical scripted workload through a 2-shard server and
-/// return the METRICS exposition plus the retained traces.
+/// Drive an identical scripted workload through a server and return
+/// the METRICS exposition plus the retained traces.
 fn metrics_and_traces_under_load(transport: Transport) -> (Vec<String>, Vec<Trace>) {
-    let router = Arc::new(
+    let service = Arc::new(
         ServiceConfig::default()
             .cache_capacity(64)
             .seed(17)
             .transport(transport)
             .event_loops(2)
-            .build_sharded(2)
+            .build()
             .unwrap(),
     );
-    let server = Server::start_router(Arc::clone(&router), "127.0.0.1:0").unwrap();
+    let server = Server::start(service, "127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     client.train("skylake", &good_set(), &ladder()).unwrap();
     let counts: Vec<(String, f64)> = GOOD_SET.iter().map(|n| (n.to_string(), 1.5e10)).collect();
@@ -251,7 +204,6 @@ fn metrics_and_traces_under_load(transport: Transport) -> (Vec<String>, Vec<Trac
     }
     client.health().unwrap();
     client.history(None).unwrap();
-    client.shards().unwrap();
 
     // While this client is connected the shared gauge reports it. The
     // METRICS span records on drop after the exposition renders, so the
@@ -296,7 +248,6 @@ fn assert_workload_metrics(metrics: &[String], traces: &[Trace], transport: &str
         ("estimate", 4),
         ("health", 1),
         ("history", 1),
-        ("shards", 1),
         ("metrics", 1),
     ] {
         let count = histogram_count(metrics, command);
@@ -305,44 +256,34 @@ fn assert_workload_metrics(metrics: &[String], traces: &[Trace], transport: &str
             "{transport}: command={command} count {count} < {at_least}"
         );
     }
-    // Shard request counters exist for both slots and the routed verbs
-    // landed somewhere.
-    let shard_total: f64 = (0..2)
-        .map(|shard| {
-            gauge_value(
-                metrics,
-                &format!(r#"pmca_serve_shard_requests_total{{shard="{shard}"}}"#),
-            )
-            .unwrap_or(0.0)
-        })
-        .sum();
-    assert!(
-        shard_total >= 5.0,
-        "{transport}: shard requests {shard_total}"
-    );
 
-    // Routed request traces carry the owning shard on their request
-    // begin event.
-    let routed: Vec<&Trace> = traces
+    // Estimate and train traces open with a request begin event that
+    // names the platform, and carry the connection they arrived on.
+    let served: Vec<&Trace> = traces
         .iter()
         .filter(|t| matches!(t.label.as_str(), "estimate" | "train"))
         .collect();
-    assert!(!routed.is_empty(), "{transport}: no routed traces retained");
-    for trace in routed {
+    assert!(
+        !served.is_empty(),
+        "{transport}: no request traces retained"
+    );
+    for trace in served {
+        let begin = &trace.events[0];
+        assert_eq!(begin.name, "request", "{transport}: {trace:?}");
         assert!(
-            trace.events[0]
+            begin
                 .attrs
                 .iter()
-                .any(|(k, v)| k == "shard" && (v == "0" || v == "1")),
-            "{transport}: trace {} lacks shard attribution: {:?}",
-            trace.label,
-            trace.events[0].attrs
+                .any(|(k, v)| k == "platform" && v == "skylake"),
+            "{transport}: {:?}",
+            begin.attrs
         );
+        assert!(trace.connection > 0, "{transport}: {trace:?}");
     }
 }
 
 #[test]
-fn metrics_and_trace_are_consistent_across_transports_with_shards() {
+fn metrics_and_trace_are_consistent_across_transports() {
     let (threaded_metrics, threaded_traces) = metrics_and_traces_under_load(Transport::Threaded);
     let (evented_metrics, evented_traces) = metrics_and_traces_under_load(Transport::Evented);
     assert_workload_metrics(&threaded_metrics, &threaded_traces, "threaded");
@@ -363,63 +304,4 @@ fn metrics_and_trace_are_consistent_across_transports_with_shards() {
         series(&evented_metrics),
         "same per-verb histogram series under both transports"
     );
-}
-
-#[test]
-fn shard_replace_returns_the_dead_shards_open_stream_gauge_share() {
-    let router = Arc::new(
-        ServiceConfig::default()
-            .cache_capacity(64)
-            .seed(17)
-            .build_sharded(2)
-            .unwrap(),
-    );
-    let server = Server::start_router(Arc::clone(&router), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-
-    // Deterministically find stream ids for each slot, keeping slot 0
-    // (the primary, whose registry serves METRICS) alive.
-    let mut on_victim = Vec::new();
-    let mut on_primary = Vec::new();
-    for i in 0..32 {
-        let id = format!("hs-{i}");
-        if router.route_index(&id) == 1 && on_victim.len() < 2 {
-            on_victim.push(id);
-        } else if router.route_index(&id) == 0 && on_primary.is_empty() {
-            on_primary.push(id);
-        }
-        if on_victim.len() == 2 && !on_primary.is_empty() {
-            break;
-        }
-    }
-    assert_eq!(on_victim.len(), 2, "hash spread covers both slots");
-    for id in on_victim.iter().chain(&on_primary) {
-        client.stream_open(id, "dgemm:8000", "skylake", 8).unwrap();
-    }
-    let metrics = client.metrics().unwrap();
-    assert_eq!(
-        gauge_value(&metrics, "pmca_stream_open_streams"),
-        Some(3.0),
-        "{metrics:?}"
-    );
-
-    // Replace shard 1 with a fresh service (its own registry): when the
-    // dead shard drops, its hub hands back its share of the shared
-    // gauge instead of leaking two phantom streams.
-    let fresh = Arc::new(
-        ServiceConfig::default()
-            .cache_capacity(64)
-            .seed(17)
-            .build()
-            .unwrap(),
-    );
-    let dead = router.replace(1, fresh);
-    drop(dead);
-    let metrics = client.metrics().unwrap();
-    assert_eq!(
-        gauge_value(&metrics, "pmca_stream_open_streams"),
-        Some(1.0),
-        "only the primary's stream remains: {metrics:?}"
-    );
-    client.quit().unwrap();
 }

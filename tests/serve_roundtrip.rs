@@ -13,6 +13,7 @@ use pmca_core::online::OnlineModel;
 use pmca_cpusim::{Machine, PlatformSpec};
 use pmca_mlkit::export::ModelParams;
 use pmca_powermeter::{HclWattsUp, Methodology};
+use pmca_serve::store::snapshot_from_dir;
 use pmca_serve::{
     Client, EnergyService, Estimate, InferenceEngine, Registry, Server, ServiceConfig, StoredModel,
     Tier, Trace, TraceScope, Transport,
@@ -208,12 +209,11 @@ fn training_and_introspection_work_over_the_wire_on(transport: Transport) {
     };
     assert_eq!(get("models"), "2");
 
-    // SHARDS reports the single-shard topology owning both platforms.
-    let shards = client.shards().unwrap();
-    assert_eq!(shards.len(), 1);
-    assert_eq!(shards[0].shard, 0);
-    assert_eq!(shards[0].owns, vec!["haswell", "skylake"]);
-    assert_eq!(shards[0].models, 2);
+    // The retired SHARDS verb is an unknown command; the connection
+    // keeps serving.
+    let reply = client.raw_line("SHARDS").unwrap();
+    assert_eq!(reply, r#"ERR unknown command "SHARDS""#);
+    assert_eq!(client.models().unwrap().len(), 2);
     client.quit().unwrap();
 }
 
@@ -503,4 +503,73 @@ fn over_long_request_lines_close_the_connection() {
 #[test]
 fn over_long_request_lines_close_the_connection_evented() {
     over_long_request_lines_close_the_connection_on(Transport::Evented);
+}
+
+/// Counts for the good set, distinct per counter.
+fn probe_counts() -> Vec<(String, f64)> {
+    GOOD_SET
+        .iter()
+        .enumerate()
+        .map(|(i, name)| (name.to_string(), 1.0e10 + i as f64 * 3.0e9))
+        .collect()
+}
+
+fn restored_snapshot_serves_bit_identical_estimates_on(transport: Transport) {
+    let trained = Arc::new(service(64, transport));
+    let server = Server::start(Arc::clone(&trained), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(client.train("skylake", &good_set(), &ladder()).unwrap(), 1);
+    let before = client.estimate("skylake", &probe_counts()).unwrap();
+    assert!(before.joules.is_finite());
+    client.quit().unwrap();
+    drop(server);
+
+    // Snapshot the trained store, restore it into a fresh service, and
+    // serve that from a new server: coefficients round-trip exactly.
+    let snapshot = trained.store().snapshot();
+    let fresh = Arc::new(service(64, transport));
+    assert_eq!(fresh.stats().models, 0);
+    assert_eq!(fresh.store().restore(&snapshot).unwrap(), 1);
+    let server = Server::start(fresh, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let after = client.estimate("skylake", &probe_counts()).unwrap();
+    assert_eq!(after, before, "snapshot/restore changed the estimate");
+    client.quit().unwrap();
+}
+
+#[test]
+fn restored_snapshot_serves_bit_identical_estimates() {
+    restored_snapshot_serves_bit_identical_estimates_on(Transport::Threaded);
+}
+
+#[test]
+fn restored_snapshot_serves_bit_identical_estimates_evented() {
+    restored_snapshot_serves_bit_identical_estimates_on(Transport::Evented);
+}
+
+#[test]
+fn file_backed_registry_restores_bit_identical_estimates() {
+    let dir = std::env::temp_dir().join(format!("pmca-restore-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A file-backed service trains; every put writes through to disk.
+    let on_disk = ServiceConfig::default()
+        .cache_capacity(64)
+        .seed(SEED)
+        .registry_dir(&dir)
+        .build()
+        .unwrap();
+    on_disk
+        .train_online("skylake", &good_set(), &ladder())
+        .unwrap();
+    let before = on_disk.estimate("skylake", &probe_counts()).unwrap();
+
+    // Rebuild purely from the on-disk registry via a directory
+    // snapshot, into an in-memory service.
+    let snapshot = snapshot_from_dir(&dir).unwrap();
+    let fresh = service(64, Transport::Threaded);
+    assert_eq!(fresh.store().restore(&snapshot).unwrap(), 1);
+    let after = fresh.estimate("skylake", &probe_counts()).unwrap();
+    assert_eq!(after, before, "disk round trip changed the estimate");
+    let _ = std::fs::remove_dir_all(&dir);
 }
