@@ -5,17 +5,25 @@
 //!
 //! - `push_unlabelled` — the pure hot path: ring insert + estimate
 //!   refresh against the current model snapshot, no learning;
-//! - `push_labelled` — the same plus the O(k²) recursive least-squares
-//!   update on the online linear model (no publish hook is installed,
-//!   so every 256th window's publication only bumps a counter);
+//! - `push_labelled` — the same plus the recursive least-squares update
+//!   on the online linear model: an O(k²) fold and an exact active-set
+//!   NNLS re-solve (no publish hook is installed, so every 256th
+//!   window's publication only bumps a counter);
 //! - `poll` — status snapshot of a warm stream, the read the serving
 //!   layer performs per `STREAM POLL`;
 //! - `open_close` — stream lifecycle churn: shard insert, state
 //!   allocation, and teardown.
+//!
+//! After the groups (in timing *and* `--test` smoke mode) a cost gate
+//! asserts a labelled push costs at most 10× an unlabelled one, each
+//! timed over 4 000 pushes, best of three, exiting nonzero otherwise —
+//! the floor CI's bench smoke enforces so the online solve cannot rot
+//! back to dominating the labelled path.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use pmca_stream::{synthetic_window, StreamHub, StreamHubConfig};
 use std::hint::black_box;
+use std::time::Instant;
 
 fn hub() -> StreamHub {
     StreamHub::new(StreamHubConfig::default())
@@ -82,7 +90,59 @@ fn bench_open_close(c: &mut Criterion) {
     g.finish();
 }
 
+/// Pushes per timed pass of the gate.
+const GATE_PUSHES: u64 = 4_000;
+
+/// Best-of-three seconds for [`GATE_PUSHES`] pushes into a fresh stream
+/// of a warm hub, labelled or not.
+fn time_pushes(hub: &StreamHub, labelled: bool) -> f64 {
+    let mut best = f64::INFINITY;
+    for pass in 0..3 {
+        let id = format!("gate-{labelled}-{pass}");
+        hub.open(&id, "dgemm:8000", "haswell", 64).expect("open");
+        let windows: Vec<([f64; 4], f64)> =
+            (0..GATE_PUSHES).map(|w| synthetic_window(4, w)).collect();
+        let start = Instant::now();
+        for (w, (counts, joules)) in (1..).zip(&windows) {
+            let label = labelled.then_some(*joules);
+            black_box(hub.push(&id, w, counts, label).expect("push"));
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+        hub.close(&id).expect("close");
+    }
+    best
+}
+
+/// The CI cost floor: a labelled push (ring insert plus the online
+/// model's update and exact re-solve) costs at most 10× an unlabelled
+/// one.
+fn gate() {
+    let hub = hub();
+    // Warm the platform's online model, so the gate times steady-state
+    // updates rather than the first solves.
+    time_pushes(&hub, true);
+    let unlabelled = time_pushes(&hub, false);
+    let labelled = time_pushes(&hub, true);
+    let ratio = labelled / unlabelled;
+    let per_push = |secs: f64| secs * 1e9 / GATE_PUSHES as f64;
+    println!(
+        "stream-gate: labelled {:.0} ns vs unlabelled {:.0} ns per push: {ratio:.2}x (ceiling 10.00x)",
+        per_push(labelled),
+        per_push(unlabelled)
+    );
+    if ratio > 10.0 {
+        eprintln!("stream-gate: FAIL — a labelled push costs more than 10x an unlabelled one");
+        std::process::exit(1);
+    }
+}
+
 criterion_group!(push_benches, bench_push);
 criterion_group!(poll_benches, bench_poll);
 criterion_group!(lifecycle_benches, bench_open_close);
-criterion_main!(push_benches, poll_benches, lifecycle_benches);
+
+fn main() {
+    push_benches();
+    poll_benches();
+    lifecycle_benches();
+    gate();
+}

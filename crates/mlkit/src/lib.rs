@@ -5,7 +5,7 @@
 //! 1. **Linear regression** — *"penalized linear regression … that forces
 //!    the coefficients to be non-negative. All the models also have zero
 //!    intercept"* ([`linreg::LinearRegression`] with non-negativity and no
-//!    intercept, solved by projected coordinate descent);
+//!    intercept, solved exactly by Lawson–Hanson active-set NNLS);
 //! 2. **Random forests** — bagged CART regression trees
 //!    ([`forest::RandomForest`]);
 //! 3. **Neural networks** — a small multilayer perceptron with a linear

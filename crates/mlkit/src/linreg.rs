@@ -6,10 +6,10 @@
 //! be physically meaningless (no work item removes energy), and a zero
 //! intercept encodes that zero activity consumes zero dynamic energy.
 //!
-//! Unconstrained fits use the normal equations; non-negative fits use
-//! projected (clipped) cyclic coordinate descent on the normal equations,
-//! which converges for positive semi-definite Gram matrices and matches
-//! NNLS solutions to working precision on problems of this size.
+//! Unconstrained fits use the normal equations; non-negative fits solve
+//! the ridge-scaled normal equations exactly with the Lawson–Hanson
+//! active-set NNLS method (Lawson & Hanson, 1974), the one solver the
+//! batch fit and the recursive updater in [`crate::rls`] share.
 
 use crate::model::{validate_training_set, ModelError, Regressor};
 use pmca_stats::Matrix;
@@ -185,7 +185,7 @@ impl LinearRegression {
         for (row, &t) in x.iter().zip(y) {
             accumulate_normal_equations(&mut g, &mut b, row, t);
         }
-        self.coefficients = solve_nonnegative(g, &b, self.l2, self.feature_penalties.as_deref());
+        self.coefficients = solve_nonnegative(&g, &b, self.l2, self.feature_penalties.as_deref());
         self.intercept = 0.0;
         Ok(())
     }
@@ -214,69 +214,250 @@ pub(crate) fn accumulate_normal_equations(
     }
 }
 
-/// Solve the ridge-penalised non-negative normal equations
-/// `(XᵀX + Λ)β = Xᵀy` by projected cyclic coordinate descent.
+/// The ridge-scaled symmetric Gram matrix `XᵀX + Λ`, row-major
+/// `width × width`, built from the upper triangle `g` (as
+/// [`accumulate_normal_equations`] fills it).
+///
+/// The ridge is scaled to each feature's own Gram diagonal — equivalent
+/// to penalising *standardised* coefficients, as R's
+/// penalised-regression packages do by default. A uniform penalty would
+/// silently exclude small-magnitude PMCs (icache misses count in the 1e7
+/// range, uops in the 1e12 range). A zero diagonal (an all-zero column)
+/// is floored to the smallest positive normal so the matrix stays
+/// positive on its diagonal.
+pub(crate) fn ridged_gram(g: &[Vec<f64>], l2: f64, feature_penalties: Option<&[f64]>) -> Vec<f64> {
+    let width = g.len();
+    let mut a = vec![0.0; width * width];
+    for (i, row) in g.iter().enumerate() {
+        for j in i..width {
+            a[i * width + j] = row[j];
+            a[j * width + i] = row[j];
+        }
+    }
+    for i in 0..width {
+        let multiplier = feature_penalties
+            .and_then(|m| m.get(i).copied())
+            .unwrap_or(1.0);
+        let d = &mut a[i * width + i];
+        *d *= 1.0 + l2 * multiplier;
+        if *d <= 0.0 {
+            *d = f64::MIN_POSITIVE;
+        }
+    }
+    a
+}
+
+/// Relative size below which a gradient entry counts as zero: about ten
+/// thousand ulps of the terms it is computed from, far above their
+/// rounding.
+const GRADIENT_TOL: f64 = 1e-12;
+
+/// Relative Cholesky pivot below which a column is taken as linearly
+/// dependent on the passive columns already factored.
+const PIVOT_TOL: f64 = 1e-12;
+
+/// Solve the ridge-penalised non-negative normal equations — minimise
+/// `½βᵀAβ − bᵀβ` over `β ≥ 0`, `A = XᵀX + Λ` — with the Lawson–Hanson
+/// active-set method, in its normal-equation form.
 ///
 /// `g` is the Gram matrix with only the upper triangle filled (as
-/// [`accumulate_normal_equations`] builds it); the lower triangle is
-/// mirrored here before the ridge is applied.
+/// [`accumulate_normal_equations`] builds it); [`ridged_gram`] mirrors
+/// it and applies the ridge. Starting from `β = 0`, the coordinate with
+/// the largest positive gradient `bⱼ − (Aβ)ⱼ` joins the passive set; the
+/// passive block is solved exactly by Cholesky, and a solution that
+/// leaves the feasible region is pulled back along the segment from the
+/// current `β` until the first coordinate hits zero, which leaves the
+/// set. It stops when no free coordinate has a positive gradient —
+/// the KKT conditions — which takes a handful of width² solves, so the
+/// cost is independent of how ill-conditioned the counters are.
+///
+/// A gradient counts as positive only past [`GRADIENT_TOL`] of the terms
+/// it is computed from, and a coordinate whose pivot shows it dependent
+/// on the passive columns (duplicate counters under a zero ridge) or
+/// whose own solution would be non-positive stays out until `β` moves.
 pub(crate) fn solve_nonnegative(
-    mut g: Vec<Vec<f64>>,
+    g: &[Vec<f64>],
     b: &[f64],
     l2: f64,
     feature_penalties: Option<&[f64]>,
 ) -> Vec<f64> {
-    let width = b.len();
-    for i in 1..width {
-        let (upper, lower) = g.split_at_mut(i);
-        for (j, upper_row) in upper.iter().enumerate() {
-            lower[0][j] = upper_row[i];
-        }
-    }
-    // Per-feature ridge scaled to each feature's own Gram diagonal —
-    // equivalent to penalising *standardised* coefficients, as R's
-    // penalised-regression packages do by default. A uniform penalty
-    // would silently exclude small-magnitude PMCs (icache misses count
-    // in the 1e7 range, uops in the 1e12 range).
-    for (i, row) in g.iter_mut().enumerate() {
-        let multiplier = feature_penalties
-            .and_then(|m| m.get(i).copied())
-            .unwrap_or(1.0);
-        row[i] *= 1.0 + l2 * multiplier;
-        if row[i] <= 0.0 {
-            row[i] = f64::MIN_POSITIVE;
+    let a = ridged_gram(g, l2, feature_penalties);
+    ActiveSet::new(&a, b).solve()
+}
+
+/// Working state of one [`solve_nonnegative`] call.
+struct ActiveSet<'a> {
+    /// Ridge-scaled Gram matrix, row-major.
+    a: &'a [f64],
+    b: &'a [f64],
+    width: usize,
+    beta: Vec<f64>,
+    /// Passive (free) coordinates, in the order they entered — the
+    /// Cholesky factor's row order.
+    passive: Vec<usize>,
+    /// Coordinates refused entry at the current `β`.
+    refused: Vec<bool>,
+    /// Lower-triangular Cholesky factor of the passive block, row-major
+    /// with stride `width`.
+    chol: Vec<f64>,
+    /// Passive-block solution, in passive order.
+    trial: Vec<f64>,
+}
+
+impl<'a> ActiveSet<'a> {
+    fn new(a: &'a [f64], b: &'a [f64]) -> Self {
+        let width = b.len();
+        ActiveSet {
+            a,
+            b,
+            width,
+            beta: vec![0.0; width],
+            passive: Vec::with_capacity(width),
+            refused: vec![false; width],
+            chol: vec![0.0; width * width],
+            trial: vec![0.0; width],
         }
     }
 
-    // Projected cyclic coordinate descent.
-    let mut beta = vec![0.0; width];
-    const MAX_SWEEPS: usize = 10_000;
-    const TOL: f64 = 1e-12;
-    for _ in 0..MAX_SWEEPS {
-        let mut max_delta = 0.0_f64;
-        for j in 0..width {
-            let gjj = g[j][j];
-            if gjj <= 0.0 {
-                continue; // all-zero feature column
+    fn solve(mut self) -> Vec<f64> {
+        // Every pass either refuses a coordinate at the current β or
+        // strictly lowers the objective; the cap only guards against
+        // rounding-induced cycling, and leaves a feasible β.
+        for _ in 0..4 * self.width + 8 {
+            let Some(entering) = self.entering() else {
+                break;
+            };
+            self.passive.push(entering);
+            let mut first = true;
+            loop {
+                if !self.solve_passive() {
+                    if !first {
+                        // Refactoring a subset of a block that factored
+                        // cannot fail in exact arithmetic; if rounding
+                        // says otherwise, the feasible β stands.
+                        return self.beta;
+                    }
+                    // The entering column depends on the passive ones.
+                    self.passive.pop();
+                    self.refused[entering] = true;
+                    break;
+                }
+                let last = self.passive.len() - 1;
+                if first && self.trial[last] <= 0.0 {
+                    // A rounding-level gradient: the exact step would
+                    // not move this coordinate off zero.
+                    self.passive.pop();
+                    self.refused[entering] = true;
+                    break;
+                }
+                first = false;
+                if self.trial[..self.passive.len()].iter().all(|&s| s > 0.0) {
+                    for (&j, &s) in self.passive.iter().zip(&self.trial) {
+                        self.beta[j] = s;
+                    }
+                    self.refused.fill(false);
+                    break;
+                }
+                self.step_to_boundary();
             }
-            let mut resid = b[j];
-            for k in 0..width {
-                if k != j {
-                    resid -= g[j][k] * beta[k];
+        }
+        self.beta
+    }
+
+    /// The free coordinate with the largest clearly positive gradient.
+    fn entering(&self) -> Option<usize> {
+        let w = self.width;
+        let mut best: Option<(usize, f64)> = None;
+        for j in 0..w {
+            if self.refused[j] || self.passive.contains(&j) {
+                continue;
+            }
+            let row = &self.a[j * w..(j + 1) * w];
+            let mut gradient = self.b[j];
+            let mut scale = self.b[j].abs();
+            for (&ajk, &bk) in row.iter().zip(&self.beta) {
+                gradient -= ajk * bk;
+                scale += (ajk * bk).abs();
+            }
+            if gradient > GRADIENT_TOL * scale && best.is_none_or(|(_, g)| gradient > g) {
+                best = Some((j, gradient));
+            }
+        }
+        best.map(|(j, _)| j)
+    }
+
+    /// Factor the passive block and solve it into `trial`; `false` when
+    /// a pivot shows a column dependent on the ones before it.
+    fn solve_passive(&mut self) -> bool {
+        let (w, n) = (self.width, self.passive.len());
+        for r in 0..n {
+            let pr = self.passive[r];
+            for c in 0..=r {
+                let pc = self.passive[c];
+                let mut sum = self.a[pr * w + pc];
+                for k in 0..c {
+                    sum -= self.chol[r * w + k] * self.chol[c * w + k];
+                }
+                if c < r {
+                    self.chol[r * w + c] = sum / self.chol[c * w + c];
+                } else if sum <= PIVOT_TOL * self.a[pr * w + pr] {
+                    return false;
+                } else {
+                    self.chol[r * w + r] = sum.sqrt();
                 }
             }
-            let new = (resid / gjj).max(0.0);
-            let delta = (new - beta[j]).abs();
-            let scale = beta[j].abs().max(new.abs()).max(1e-300);
-            max_delta = max_delta.max(delta / scale);
-            beta[j] = new;
         }
-        if max_delta < TOL {
-            return beta;
+        // Forward then back substitution: L·y = b_P, Lᵀ·s = y.
+        for r in 0..n {
+            let mut sum = self.b[self.passive[r]];
+            for k in 0..r {
+                sum -= self.chol[r * w + k] * self.trial[k];
+            }
+            self.trial[r] = sum / self.chol[r * w + r];
         }
+        for r in (0..n).rev() {
+            let mut sum = self.trial[r];
+            for k in r + 1..n {
+                sum -= self.chol[k * w + r] * self.trial[k];
+            }
+            self.trial[r] = sum / self.chol[r * w + r];
+        }
+        true
     }
-    // Coordinate descent always produces a usable iterate; accept it.
-    beta
+
+    /// Move `β` towards the infeasible trial solution as far as
+    /// feasibility allows, then drop every passive coordinate that
+    /// reached zero (at least the one that set the step).
+    fn step_to_boundary(&mut self) {
+        let n = self.passive.len();
+        let mut alpha = f64::INFINITY;
+        let mut blocking = 0;
+        for (k, &j) in self.passive.iter().enumerate() {
+            let s = self.trial[k];
+            if s <= 0.0 {
+                let ratio = self.beta[j] / (self.beta[j] - s);
+                if ratio < alpha {
+                    alpha = ratio;
+                    blocking = k;
+                }
+            }
+        }
+        for k in 0..n {
+            let j = self.passive[k];
+            self.beta[j] += alpha * (self.trial[k] - self.beta[j]);
+        }
+        let blocking = self.passive[blocking];
+        self.beta[blocking] = 0.0;
+        let beta = &mut self.beta;
+        self.passive.retain(|&j| {
+            if beta[j] <= 0.0 {
+                beta[j] = 0.0;
+                false
+            } else {
+                true
+            }
+        });
+    }
 }
 
 impl Regressor for LinearRegression {
@@ -305,6 +486,7 @@ impl Regressor for LinearRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmca_stats::rng::{Rng, Xoshiro256pp};
 
     #[test]
     fn ordinary_recovers_affine_relation() {
@@ -384,6 +566,127 @@ mod tests {
         lr.fit(&x, &y).unwrap();
         let pred = lr.predict_one(&[10.0, 20.0]);
         assert!((pred - 60.0).abs() < 1.0, "pred {pred}");
+    }
+
+    /// Normal equations plus ridge: the arguments of one solve.
+    struct System {
+        g: Vec<Vec<f64>>,
+        b: Vec<f64>,
+        l2: f64,
+        penalties: Option<Vec<f64>>,
+    }
+
+    /// A random ridge-scaled NNLS problem at PMC scale: independent
+    /// columns of magnitude 1e7–1e12, all-zero columns, exact multiples
+    /// and non-negative mixtures of earlier columns, targets from a
+    /// signed generating model (so constraints bind), and ridge
+    /// multipliers that are zero on some columns.
+    fn random_system(rng: &mut Xoshiro256pp) -> System {
+        let width = rng.gen_range_usize(1, 13);
+        let rows = rng.gen_range_usize(1, 3 * width + 6);
+        let mut columns: Vec<Vec<f64>> = Vec::with_capacity(width);
+        for j in 0..width {
+            let column = match rng.gen_range_usize(0, 6) {
+                0 => vec![0.0; rows],
+                1 if j > 0 => {
+                    let c = rng.gen_range_f64(0.1, 10.0);
+                    columns[rng.gen_range_usize(0, j)]
+                        .iter()
+                        .map(|v| c * v)
+                        .collect()
+                }
+                2 if j > 1 => {
+                    let (p, q) = (rng.gen_range_usize(0, j), rng.gen_range_usize(0, j));
+                    let (c, d) = (rng.gen_range_f64(0.0, 3.0), rng.gen_range_f64(0.0, 3.0));
+                    (0..rows)
+                        .map(|i| c * columns[p][i] + d * columns[q][i])
+                        .collect()
+                }
+                _ => {
+                    let scale = 10f64.powf(rng.gen_range_f64(7.0, 12.0));
+                    (0..rows)
+                        .map(|_| scale * rng.gen_range_f64(0.5, 1.5))
+                        .collect()
+                }
+            };
+            columns.push(column);
+        }
+        let truth: Vec<f64> = columns
+            .iter()
+            .map(|col| {
+                let size = col.iter().fold(1.0_f64, |m, v| m.max(*v));
+                rng.gen_range_f64(-1.0, 2.0) * 100.0 / size
+            })
+            .collect();
+        let mut g = vec![vec![0.0; width]; width];
+        let mut b = vec![0.0; width];
+        for i in 0..rows {
+            let row: Vec<f64> = columns.iter().map(|col| col[i]).collect();
+            let target = row.iter().zip(&truth).map(|(x, t)| x * t).sum::<f64>()
+                + rng.gen_range_f64(-5.0, 5.0);
+            accumulate_normal_equations(&mut g, &mut b, &row, target);
+        }
+        let l2 = [0.0, 0.01, 0.3][rng.gen_range_usize(0, 3)];
+        let penalties = (rng.gen_range_usize(0, 2) == 0).then(|| {
+            (0..width)
+                .map(|_| {
+                    if rng.gen_range_usize(0, 3) == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range_f64(0.0, 2.0)
+                    }
+                })
+                .collect()
+        });
+        System {
+            g,
+            b,
+            l2,
+            penalties,
+        }
+    }
+
+    #[test]
+    fn active_set_solutions_satisfy_kkt_on_random_pmc_scale_systems() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x004b_4b54);
+        for case in 0..3_000 {
+            let System {
+                g,
+                b,
+                l2,
+                penalties,
+            } = random_system(&mut rng);
+            let beta = solve_nonnegative(&g, &b, l2, penalties.as_deref());
+            let a = ridged_gram(&g, l2, penalties.as_deref());
+            let width = b.len();
+            for j in 0..width {
+                assert!(
+                    beta[j].is_finite() && beta[j] >= 0.0,
+                    "case {case}: β{j} = {}",
+                    beta[j]
+                );
+                // Gradient of the objective's negative, and the size of
+                // the terms it is computed from (|aⱼₖ| ≤ √(aⱼⱼaₖₖ)).
+                let mut gradient = b[j];
+                let mut scale = b[j].abs();
+                for k in 0..width {
+                    gradient -= a[j * width + k] * beta[k];
+                    scale += (a[j * width + j] * a[k * width + k]).sqrt() * beta[k];
+                }
+                let tol = 1e-9 * scale;
+                if beta[j] == 0.0 {
+                    assert!(
+                        gradient <= tol,
+                        "case {case}: β{j} = 0 but gradient {gradient} > {tol}"
+                    );
+                } else {
+                    assert!(
+                        gradient.abs() <= tol,
+                        "case {case}: β{j} > 0 but |gradient| {gradient} > {tol}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! each new observation in with O(width²) work; a refit re-solves the
 //! same ridge-penalised non-negative problem as
 //! [`LinearRegression::paper_constrained`](crate::LinearRegression::paper_constrained)
-//! from those statistics in O(width² · sweeps), independent of how many
+//! from those statistics with the exact active-set NNLS solver — a
+//! handful of width × width Cholesky solves, independent of how many
 //! rows have ever been observed.
 //!
 //! # Exactness
 //!
 //! The accumulator adds rows in the same per-row floating-point order as
 //! the batch fit (`crate::linreg::accumulate_normal_equations` is shared
-//! code), and the refit runs the identical projected-coordinate-descent
-//! solver from the same all-zeros start. N recursive updates over rows
+//! code), and the refit runs the identical active-set solver on the
+//! same statistics. N recursive updates over rows
 //! `r₁..r_N` therefore produce *the same* coefficients as one batch
 //! `fit` over `[r₁..r_N]` — bit-identical in practice; the property
 //! tests assert agreement within a relative tolerance of `1e-9` to
@@ -154,7 +155,8 @@ impl RecursiveLeastSquares {
     }
 
     /// Re-solve the non-negative ridge problem from the accumulated
-    /// statistics. O(width² · sweeps): independent of the row count.
+    /// statistics: a few width × width Cholesky solves, independent of
+    /// the row count.
     ///
     /// # Errors
     ///
@@ -165,7 +167,7 @@ impl RecursiveLeastSquares {
             return Err(ModelError::EmptyTrainingSet);
         }
         let _span = fit_span("rls");
-        self.coefficients = solve_nonnegative(self.gram.clone(), &self.xty, self.l2, None);
+        self.coefficients = solve_nonnegative(&self.gram, &self.xty, self.l2, None);
         self.fitted = true;
         Ok(())
     }

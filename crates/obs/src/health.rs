@@ -322,7 +322,8 @@ pub struct HealthRegistry {
     enabled: AtomicBool,
     config: HealthConfig,
     calibration: Mutex<HashMap<String, CalTracker>>,
-    additivity: Mutex<HashMap<(String, String), AddTracker>>,
+    /// Per platform, then per counter.
+    additivity: Mutex<HashMap<String, HashMap<String, AddTracker>>>,
     transitions: AtomicU64,
 }
 
@@ -378,7 +379,24 @@ impl HealthRegistry {
         half_width: f64,
         measured: f64,
     ) -> Option<HealthTransition> {
-        self.fold(platform, version, predicted, half_width, measured, true)
+        let covered = covers(predicted, half_width, measured);
+        self.fold(platform, version, predicted, covered, measured, true)
+    }
+
+    /// [`observe`](HealthRegistry::observe) for a caller that has
+    /// already decided whether `measured` lies inside the prediction
+    /// interval — `covered` is `Some(|predicted − measured| ≤
+    /// half_width)`, or `None` when the prediction carried no interval —
+    /// and so need not compute the half-width itself.
+    pub fn observe_with_coverage(
+        &self,
+        platform: &str,
+        version: u64,
+        predicted: f64,
+        covered: Option<bool>,
+        measured: f64,
+    ) -> Option<HealthTransition> {
+        self.fold(platform, version, predicted, covered, measured, true)
     }
 
     /// Record a baseline calibration pair — typically a training-time
@@ -395,7 +413,8 @@ impl HealthRegistry {
         half_width: f64,
         measured: f64,
     ) {
-        self.fold(platform, version, predicted, half_width, measured, false);
+        let covered = covers(predicted, half_width, measured);
+        self.fold(platform, version, predicted, covered, measured, false);
     }
 
     fn fold(
@@ -403,7 +422,7 @@ impl HealthRegistry {
         platform: &str,
         version: u64,
         predicted: f64,
-        half_width: f64,
+        covered: Option<bool>,
         measured: f64,
         drift: bool,
     ) -> Option<HealthTransition> {
@@ -420,12 +439,10 @@ impl HealthRegistry {
         let sample = WindowSample {
             abs_err: residual.abs(),
             pct_err: 100.0 * residual / base,
-            covered: (half_width > 0.0).then(|| residual.abs() <= half_width),
+            covered,
         };
         let mut trackers = self.calibration.lock().expect("calibration poisoned");
-        let tracker = trackers
-            .entry(platform.to_string())
-            .or_insert_with(CalTracker::new);
+        let tracker = slot(&mut trackers, platform, CalTracker::new);
         tracker.version = version;
         tracker.observe(&self.config, sample, drift);
         if !drift {
@@ -460,10 +477,12 @@ impl HealthRegistry {
         if !self.is_enabled() || !error_pct.is_finite() {
             return;
         }
-        let mut trackers = self.additivity.lock().expect("additivity poisoned");
-        let tracker = trackers
-            .entry((platform.to_string(), counter.to_string()))
-            .or_default();
+        let mut platforms = self.additivity.lock().expect("additivity poisoned");
+        let tracker = slot(
+            slot(&mut platforms, platform, HashMap::new),
+            counter,
+            AddTracker::default,
+        );
         tracker.checks += 1;
         tracker.violations += u64::from(error_pct > tolerance_pct);
         tracker.worst_error_pct = tracker.worst_error_pct.max(error_pct);
@@ -482,10 +501,11 @@ impl HealthRegistry {
 
     /// Additivity readouts, sorted by platform then counter.
     pub fn additivity(&self) -> Vec<AdditivitySnapshot> {
-        let trackers = self.additivity.lock().expect("additivity poisoned");
-        let mut snapshots: Vec<AdditivitySnapshot> = trackers
+        let platforms = self.additivity.lock().expect("additivity poisoned");
+        let mut snapshots: Vec<AdditivitySnapshot> = platforms
             .iter()
-            .map(|((platform, counter), tracker)| AdditivitySnapshot {
+            .flat_map(|(platform, trackers)| trackers.iter().map(move |entry| (platform, entry)))
+            .map(|(platform, (counter, tracker))| AdditivitySnapshot {
                 platform: platform.clone(),
                 counter: counter.clone(),
                 checks: tracker.checks,
@@ -502,6 +522,21 @@ impl HealthRegistry {
         snapshots.sort_by(|a, b| (&a.platform, &a.counter).cmp(&(&b.platform, &b.counter)));
         snapshots
     }
+}
+
+/// The value under `key`, inserting `make()` first if absent — the key
+/// is copied only then, so a per-observation lookup allocates nothing.
+fn slot<'m, V>(map: &'m mut HashMap<String, V>, key: &str, make: impl FnOnce() -> V) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), make());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
+/// Whether `measured` lies inside `predicted ± half_width`; `None` when
+/// there is no interval (half-width 0).
+fn covers(predicted: f64, half_width: f64, measured: f64) -> Option<bool> {
+    (half_width > 0.0).then(|| (predicted - measured).abs() <= half_width)
 }
 
 /// One metric's reading inside a [`HistorySnapshot`].

@@ -4,9 +4,13 @@
 //! Lock layout, in acquisition order:
 //!
 //! 1. one of `shards` (per-stream state, hashed by stream id) —
-//!    held only while mutating one stream's ring;
+//!    held only while mutating one stream's ring and, with health
+//!    attached, folding the window into its base app's counter means
+//!    (a mutex per `(platform, app)`, taken under the shard's);
 //! 2. `online` (per-platform RLS model + training buffer) — held for the
-//!    O(width²) recursive update of a labelled push;
+//!    recursive update of a labelled push: an O(width²) fold into the
+//!    normal equations and an exact active-set NNLS re-solve, about two
+//!    microseconds at the default four counters;
 //! 3. `snapshots` (read-mostly `RwLock`) — what polls read; writes are a
 //!    single `Arc` insert.
 //!
@@ -26,12 +30,12 @@ use pmca_obs::{Counter, Gauge, HealthRegistry, HealthState, HealthTransition};
 use pmca_obs::{Histogram, MetricsRegistry, Tracer};
 use pmca_simd::Isa;
 use pmca_stats::confidence::t_critical;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Each pushed window covers one second of telemetry by convention, so a
@@ -144,9 +148,32 @@ impl StreamHubConfig {
     }
 }
 
+/// The two-sided 95% normal quantile z₀.₉₇₅, the limit the Student-t
+/// quantile falls towards as degrees of freedom grow.
+const Z_975: f64 = 1.959_963_984_540_054;
+
+/// Relative margin around the bracket `z₀.₉₇₅ ≤ t(df) ≤ t(df')` inside
+/// which coverage is settled with the exact quantile — far above its
+/// ~1e-13 Newton tolerance and the rounding of `|r| / σ`.
+const BRACKET_MARGIN: f64 = 1e-6;
+
+thread_local! {
+    /// The last Student-t 95% quantile this thread computed, with its
+    /// degrees of freedom: an upper bound on `t(df)` for every larger
+    /// `df`. Starts at `(0, ∞)`, which bounds nothing.
+    static T_BOUND: Cell<(usize, f64)> = const { Cell::new((0, f64::INFINITY)) };
+}
+
+/// `t_critical(df, 0.95)`, remembered as this thread's bracket bound.
+fn t_95(df: usize) -> f64 {
+    let t = t_critical(df, 0.95);
+    T_BOUND.set((df, t));
+    t
+}
+
 /// The linear model a poll predicts with: an immutable snapshot swapped
 /// atomically (one `Arc` store) on every online update.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ModelSnapshot {
     /// Model family tag (`"online"` for hub-fitted snapshots).
     pub family: String,
@@ -158,9 +185,41 @@ pub struct ModelSnapshot {
     pub residual_std: f64,
     /// Rows the model has seen.
     pub training_rows: usize,
+    /// [`prediction_half_width`](ModelSnapshot::prediction_half_width),
+    /// computed on first use.
+    half_width: OnceLock<f64>,
+}
+
+impl PartialEq for ModelSnapshot {
+    /// The model's fields; whether the half-width is computed yet is
+    /// not part of the value.
+    fn eq(&self, other: &Self) -> bool {
+        self.family == other.family
+            && self.version == other.version
+            && self.coefficients == other.coefficients
+            && self.residual_std == other.residual_std
+            && self.training_rows == other.training_rows
+    }
 }
 
 impl ModelSnapshot {
+    /// An `online`-family snapshot.
+    fn online(
+        version: u64,
+        coefficients: Vec<f64>,
+        residual_std: f64,
+        training_rows: usize,
+    ) -> Self {
+        ModelSnapshot {
+            family: "online".to_string(),
+            version,
+            coefficients,
+            residual_std,
+            training_rows,
+            half_width: OnceLock::new(),
+        }
+    }
+
     /// Predicted joules for one window of counts (clamped non-negative,
     /// matching the serving engine) — the same dispatched pairwise dot
     /// the serving kernels use, so stream estimates and served
@@ -185,16 +244,53 @@ impl ModelSnapshot {
 
     /// Half-width of the 95% prediction interval — the same Student-t
     /// construction the serving engine uses: 0 until the model has rows
-    /// and a positive residual spread.
+    /// and a positive residual spread. Computed once per snapshot.
     pub fn prediction_half_width(&self) -> f64 {
-        if self.residual_std <= 0.0 || self.training_rows == 0 {
+        if !self.has_interval() {
             return 0.0;
         }
-        let df = self
-            .training_rows
+        *self
+            .half_width
+            .get_or_init(|| t_95(self.degrees_of_freedom()) * self.residual_std)
+    }
+
+    /// Whether a residual of `abs_residual` joules lies inside the 95%
+    /// prediction interval — exactly `abs_residual ≤
+    /// prediction_half_width()` — or `None` when the snapshot carries no
+    /// interval.
+    ///
+    /// The quantile is only computed when the bracket cannot settle the
+    /// question: `t(df)` falls with `df`, so it lies between z₀.₉₇₅ and
+    /// the last quantile this thread computed at a smaller `df`, and a
+    /// residual clearly inside `z·σ` or clearly outside that bound needs
+    /// no quantile. Labelled windows score against a new snapshot each
+    /// time, so this keeps the quantile off nearly every one of them.
+    pub(crate) fn covers(&self, abs_residual: f64) -> Option<bool> {
+        if !self.has_interval() {
+            return None;
+        }
+        if let Some(&half_width) = self.half_width.get() {
+            return Some(abs_residual <= half_width);
+        }
+        let ratio = abs_residual / self.residual_std;
+        if ratio < Z_975 * (1.0 - BRACKET_MARGIN) {
+            return Some(true);
+        }
+        let (bound_df, bound_t) = T_BOUND.get();
+        if self.degrees_of_freedom() >= bound_df && ratio > bound_t * (1.0 + BRACKET_MARGIN) {
+            return Some(false);
+        }
+        Some(abs_residual <= self.prediction_half_width())
+    }
+
+    fn has_interval(&self) -> bool {
+        self.residual_std > 0.0 && self.training_rows > 0
+    }
+
+    fn degrees_of_freedom(&self) -> usize {
+        self.training_rows
             .saturating_sub(self.coefficients.len())
-            .max(1);
-        t_critical(df, 0.95) * self.residual_std
+            .max(1)
     }
 }
 
@@ -268,10 +364,13 @@ enum Publication {
     Drift,
 }
 
-/// One open stream.
+/// One open stream. The platform is shared so a push takes it out of
+/// the shard lock without copying.
 struct StreamEntry {
     app: String,
-    platform: String,
+    platform: Arc<str>,
+    /// The stream's part in the additivity monitor, resolved at OPEN.
+    additivity: AdditivityRole,
     state: WindowState,
     last_push: Instant,
 }
@@ -325,14 +424,16 @@ impl StreamMetrics {
 pub struct StreamHub {
     config: StreamHubConfig,
     shards: Vec<Mutex<HashMap<String, StreamEntry>>>,
-    online: Mutex<HashMap<String, PlatformOnline>>,
-    snapshots: RwLock<HashMap<String, Arc<ModelSnapshot>>>,
+    online: Mutex<HashMap<Arc<str>, PlatformOnline>>,
+    snapshots: RwLock<HashMap<Arc<str>, Arc<ModelSnapshot>>>,
     publish: RwLock<Option<Arc<PublishFn>>>,
     tracer: RwLock<Option<Arc<Tracer>>>,
-    health: RwLock<Option<Arc<HealthRegistry>>>,
+    health: OnceLock<Arc<HealthRegistry>>,
     /// Rolling per-`(platform, app)` counter means, the base side of the
-    /// online compound-vs-sum additivity checks.
-    additivity_means: Mutex<HashMap<(String, String), CounterMeans>>,
+    /// online compound-vs-sum additivity checks. Looked up only when a
+    /// stream opens; windows reach their means through the stream's
+    /// [`AdditivityRole`].
+    additivity_means: Mutex<HashMap<(String, String), SharedMeans>>,
     open_count: AtomicUsize,
     publications: AtomicU64,
     drift_refits: AtomicU64,
@@ -346,11 +447,52 @@ struct CounterMeans {
     n: u64,
 }
 
+/// One `(platform, app)`'s means, shared by every stream of that app.
+type SharedMeans = Arc<Mutex<CounterMeans>>;
+
+/// What a stream's accepted windows feed in the additivity monitor.
+enum AdditivityRole {
+    /// A base app (one `;`-separated part): its windows accumulate into
+    /// these means.
+    Base(SharedMeans),
+    /// A two-part compound `a;b`: each window is checked against the sum
+    /// of its parts' means.
+    Compound(SharedMeans, SharedMeans),
+    /// Three or more parts: not checked.
+    Unchecked,
+}
+
+impl AdditivityRole {
+    /// Fold one accepted window in. For a compound whose parts have both
+    /// been seen, returns the parts' current means.
+    fn note(&self, counts: &[f64]) -> Option<(Vec<f64>, Vec<f64>)> {
+        match self {
+            AdditivityRole::Base(means) => {
+                let mut means = means.lock().expect("additivity poisoned");
+                for (sum, count) in means.sums.iter_mut().zip(counts) {
+                    *sum += count;
+                }
+                means.n += 1;
+                None
+            }
+            // Both bases must have been seen, or the check would compare
+            // against nothing.
+            AdditivityRole::Compound(a, b) => {
+                let a = a.lock().expect("additivity poisoned").means()?;
+                let b = b.lock().expect("additivity poisoned").means()?;
+                Some((a, b))
+            }
+            AdditivityRole::Unchecked => None,
+        }
+    }
+}
+
 impl CounterMeans {
-    fn means(&self) -> Vec<f64> {
+    /// The per-counter means, or `None` before the first window.
+    fn means(&self) -> Option<Vec<f64>> {
         #[allow(clippy::cast_precision_loss)] // window counts, far below 2^52
-        let n = (self.n.max(1)) as f64;
-        self.sums.iter().map(|s| s / n).collect()
+        let n = self.n as f64;
+        (self.n > 0).then(|| self.sums.iter().map(|s| s / n).collect())
     }
 }
 
@@ -382,7 +524,7 @@ impl StreamHub {
             snapshots: RwLock::new(HashMap::new()),
             publish: RwLock::new(None),
             tracer: RwLock::new(None),
-            health: RwLock::new(None),
+            health: OnceLock::new(),
             additivity_means: Mutex::new(HashMap::new()),
             open_count: AtomicUsize::new(0),
             publications: AtomicU64::new(0),
@@ -415,13 +557,29 @@ impl StreamHub {
     /// additivity checks. Drift transitions record a `health.drift`
     /// flight-recorder trace, and entering drifting refits and publishes
     /// the platform's online model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a registry is already attached: a hub has one for its
+    /// lifetime, so the per-window path reads it without a lock.
     pub fn set_health(&self, health: Arc<HealthRegistry>) {
-        *self.health.write().expect("health poisoned") = Some(health);
+        assert!(
+            self.health.set(health).is_ok(),
+            "a health registry is already attached"
+        );
     }
 
     /// The attached health registry, if any.
     pub fn health(&self) -> Option<Arc<HealthRegistry>> {
-        self.health.read().expect("health poisoned").clone()
+        self.health.get().cloned()
+    }
+
+    /// The attached health registry, when it is recording.
+    fn recording_health(&self) -> Option<&HealthRegistry> {
+        self.health
+            .get()
+            .map(Arc::as_ref)
+            .filter(|health| health.is_enabled())
     }
 
     /// Seed `platform`'s snapshot from an already-trained linear model,
@@ -437,24 +595,29 @@ impl StreamHub {
     ) {
         let mut snapshots = self.snapshots.write().expect("snapshots poisoned");
         snapshots
-            .entry(platform.to_ascii_lowercase())
+            .entry(Arc::from(platform.to_ascii_lowercase()))
             .or_insert_with(|| {
-                Arc::new(ModelSnapshot {
-                    family: "online".to_string(),
-                    version: 1,
+                Arc::new(ModelSnapshot::online(
+                    1,
                     coefficients,
                     residual_std,
                     training_rows,
-                })
+                ))
             });
     }
 
     /// The current snapshot for `platform`, if any.
     pub fn snapshot(&self, platform: &str) -> Option<Arc<ModelSnapshot>> {
+        self.current_snapshot(&platform.to_ascii_lowercase())
+    }
+
+    /// [`snapshot`](StreamHub::snapshot) for an already-lowercase
+    /// platform, as the hub stores them.
+    fn current_snapshot(&self, platform: &str) -> Option<Arc<ModelSnapshot>> {
         self.snapshots
             .read()
             .expect("snapshots poisoned")
-            .get(&platform.to_ascii_lowercase())
+            .get(platform)
             .cloned()
     }
 
@@ -510,15 +673,18 @@ impl StreamHub {
         }
         let state = WindowState::new(window);
         let capacity = state.capacity();
+        let platform = platform.to_ascii_lowercase();
         let mut shard = self.shard(id).lock().expect("shard poisoned");
         if shard.contains_key(id) {
             return Err(StreamError::AlreadyOpen(id.to_string()));
         }
+        let additivity = self.additivity_role(&platform, app);
         shard.insert(
             id.to_string(),
             StreamEntry {
                 app: app.to_string(),
-                platform: platform.to_ascii_lowercase(),
+                platform: Arc::from(platform),
+                additivity,
                 state,
                 last_push: Instant::now(),
             },
@@ -561,7 +727,8 @@ impl StreamHub {
                 ));
             }
         }
-        let (reply, platform, app) = {
+        let health = self.recording_health();
+        let (reply, platform, compound_bases) = {
             let mut shard = self.shard(id).lock().expect("shard poisoned");
             let entry = shard
                 .get_mut(id)
@@ -577,7 +744,13 @@ impl StreamHub {
                 retained: entry.state.retained(),
                 highest: entry.state.highest(),
             };
-            (reply, entry.platform.clone(), entry.app.clone())
+            let accepted = matches!(outcome, PushOutcome::Accepted { .. });
+            let compound_bases = if accepted && health.is_some() {
+                entry.additivity.note(counts)
+            } else {
+                None
+            };
+            (reply, Arc::clone(&entry.platform), compound_bases)
         };
         match reply.outcome {
             PushOutcome::Accepted { lag } => {
@@ -588,12 +761,15 @@ impl StreamHub {
                 self.metrics
                     .lag
                     .record_ns(lag.saturating_mul(1_000_000_000));
-                self.note_additivity(&platform, &app, counts);
+                if let (Some(health), Some((base1, base2))) = (health, compound_bases) {
+                    self.check_additivity(health, &platform, &base1, &base2, counts);
+                }
                 if let Some(j) = joules {
                     // Calibration first: the residual against the
                     // *current* snapshot is out of sample only before
                     // the online update folds this window in.
-                    let transition = self.observe_calibration(&platform, counts, j);
+                    let transition = health
+                        .and_then(|health| self.observe_calibration(health, &platform, counts, j));
                     if let Some(transition) = &transition {
                         self.note_drift(transition);
                     }
@@ -675,7 +851,7 @@ impl StreamHub {
     }
 
     fn status_of(&self, id: &str, entry: &StreamEntry) -> StreamStatus {
-        let snapshot = self.snapshot(&entry.platform);
+        let snapshot = self.current_snapshot(&entry.platform);
         let (joules, watts, ci95, family, version, rows) = match &snapshot {
             Some(s) => {
                 let latest = entry.state.latest().map_or(0.0, |w| s.predict(&w.counts));
@@ -711,7 +887,7 @@ impl StreamHub {
         StreamStatus {
             stream: id.to_string(),
             app: entry.app.clone(),
-            platform: entry.platform.clone(),
+            platform: entry.platform.to_string(),
             capacity: entry.state.capacity(),
             retained: entry.state.retained(),
             accepted: entry.state.accepted(),
@@ -732,20 +908,18 @@ impl StreamHub {
     /// attached health registry; returns the drift transition it caused.
     fn observe_calibration(
         &self,
+        health: &HealthRegistry,
         platform: &str,
         counts: &[f64],
         joules: f64,
     ) -> Option<HealthTransition> {
-        let health = self.health()?;
-        if !health.is_enabled() {
-            return None;
-        }
-        let snapshot = self.snapshot(platform)?;
-        health.observe(
+        let snapshot = self.current_snapshot(platform)?;
+        let predicted = snapshot.predict(counts);
+        health.observe_with_coverage(
             platform,
             snapshot.version,
-            snapshot.predict(counts),
-            snapshot.prediction_half_width(),
+            predicted,
+            snapshot.covers((predicted - joules).abs()),
             joules,
         )
     }
@@ -768,51 +942,45 @@ impl StreamHub {
         }
     }
 
-    /// Fold one accepted window into the additivity monitor: a base app
-    /// (no `;`) contributes to its rolling counter means; a two-part
-    /// compound (`a;b`) is checked against the sum of its parts' means
-    /// with the paper's equation-1 error, per counter.
-    fn note_additivity(&self, platform: &str, app: &str, counts: &[f64]) {
-        let Some(health) = self.health() else { return };
-        if !health.is_enabled() {
-            return;
-        }
-        let parts: Vec<&str> = app.split(';').filter(|part| !part.is_empty()).collect();
-        let (base1, base2) = {
-            let mut means = self.additivity_means.lock().expect("additivity poisoned");
-            match parts.as_slice() {
-                [_single] => {
-                    let entry = means
-                        .entry((platform.to_string(), app.to_string()))
-                        .or_insert_with(|| CounterMeans {
-                            sums: vec![0.0; counts.len()],
-                            n: 0,
-                        });
-                    for (sum, count) in entry.sums.iter_mut().zip(counts) {
-                        *sum += count;
-                    }
-                    entry.n += 1;
-                    return;
-                }
-                [a, b] => {
-                    let base1 = means.get(&(platform.to_string(), (*a).to_string()));
-                    let base2 = means.get(&(platform.to_string(), (*b).to_string()));
-                    match (base1, base2) {
-                        // Both bases must have been seen, or the check
-                        // would compare against nothing.
-                        (Some(b1), Some(b2)) if b1.n > 0 && b2.n > 0 => (b1.means(), b2.means()),
-                        _ => return,
-                    }
-                }
-                _ => return,
-            }
+    /// A stream's part in the additivity monitor: a base app (no `;`)
+    /// contributes to its rolling counter means; a two-part compound
+    /// (`a;b`) is checked against the sum of its parts' means.
+    fn additivity_role(&self, platform: &str, app: &str) -> AdditivityRole {
+        let mut means = self.additivity_means.lock().expect("additivity poisoned");
+        let width = self.config.pmc_names.len();
+        let mut shared = |app: &str| {
+            let key = (platform.to_string(), app.to_string());
+            Arc::clone(means.entry(key).or_insert_with(|| {
+                Arc::new(Mutex::new(CounterMeans {
+                    sums: vec![0.0; width],
+                    n: 0,
+                }))
+            }))
         };
+        let mut parts = app.split(';').filter(|part| !part.is_empty());
+        match (parts.next(), parts.next(), parts.next()) {
+            (Some(_), None, None) => AdditivityRole::Base(shared(app)),
+            (Some(a), Some(b), None) => AdditivityRole::Compound(shared(a), shared(b)),
+            _ => AdditivityRole::Unchecked,
+        }
+    }
+
+    /// Check one compound window against the sum of its parts' means
+    /// with the paper's equation-1 error, per counter.
+    fn check_additivity(
+        &self,
+        health: &HealthRegistry,
+        platform: &str,
+        base1: &[f64],
+        base2: &[f64],
+        counts: &[f64],
+    ) {
         let tolerance = AdditivityTest::default().tolerance_pct;
         for ((name, (b1, b2)), compound) in self
             .config
             .pmc_names
             .iter()
-            .zip(base1.iter().zip(&base2))
+            .zip(base1.iter().zip(base2))
             .zip(counts)
         {
             let error_pct = AdditivityTest::equation_1_error_pct(*b1, *b2, *compound);
@@ -821,13 +989,15 @@ impl StreamHub {
     }
 
     /// Fold one labelled window into the platform's online model: an
-    /// O(width²) recursive-least-squares update and an immediate snapshot
-    /// publish. Returns the snapshot when it is also due in the serving
-    /// store: on entering drifting (after a refit from the windows since
-    /// the platform left `ok`), or on every [`PUBLISH_EVERY`]-th window.
+    /// O(width²) recursive-least-squares fold, an exact active-set
+    /// re-solve (a few width × width Cholesky solves, independent of the
+    /// rows seen), and an immediate snapshot publish. Returns the
+    /// snapshot when it is also due in the serving store: on entering
+    /// drifting (after a refit from the windows since the platform left
+    /// `ok`), or on every [`PUBLISH_EVERY`]-th window.
     fn online_update(
         &self,
-        platform: &str,
+        platform: &Arc<str>,
         counts: &[f64],
         joules: f64,
         transition: Option<&HealthTransition>,
@@ -835,7 +1005,7 @@ impl StreamHub {
         let width = self.config.pmc_names.len();
         let mut online = self.online.lock().expect("online poisoned");
         let entry = online
-            .entry(platform.to_string())
+            .entry(Arc::clone(platform))
             .or_insert_with(|| PlatformOnline {
                 rls: RecursiveLeastSquares::paper_constrained(width),
                 buffer: VecDeque::new(),
@@ -883,21 +1053,20 @@ impl StreamHub {
 
     fn publish_snapshot(
         &self,
-        platform: &str,
+        platform: &Arc<str>,
         coefficients: Vec<f64>,
         residual_std: f64,
         training_rows: usize,
     ) -> Arc<ModelSnapshot> {
         let mut snapshots = self.snapshots.write().expect("snapshots poisoned");
         let version = snapshots.get(platform).map_or(1, |s| s.version + 1);
-        let snapshot = Arc::new(ModelSnapshot {
-            family: "online".to_string(),
+        let snapshot = Arc::new(ModelSnapshot::online(
             version,
             coefficients,
             residual_std,
             training_rows,
-        });
-        snapshots.insert(platform.to_string(), Arc::clone(&snapshot));
+        ));
+        snapshots.insert(Arc::clone(platform), Arc::clone(&snapshot));
         snapshot
     }
 
@@ -1228,6 +1397,82 @@ mod tests {
             "HEALTH back to ok at window {back_to_ok:?}"
         );
         assert_eq!(hub.drift_refits(), 1, "one refit per entry into drifting");
+    }
+
+    #[test]
+    fn bracketed_coverage_and_polled_intervals_match_the_exact_quantile() {
+        let hub = quiet_hub(StreamHubConfig::default());
+        // A window as long as the run, so the tracker's coverage counts
+        // every labelled window.
+        let health = Arc::new(HealthRegistry::new(HealthConfig {
+            window: 4_096,
+            ..HealthConfig::default()
+        }));
+        hub.set_health(Arc::clone(&health));
+        hub.seed_snapshot("skylake", vec![2.0, 0.5, 0.0, 0.0], 3.0, 20);
+        hub.open("s1", "app", "skylake", 16).unwrap();
+        let exact_half_width = |s: &ModelSnapshot| {
+            let df = s.training_rows.saturating_sub(s.coefficients.len()).max(1);
+            t_critical(df, 0.95) * s.residual_std
+        };
+        let mut rng = 0x5eed_u64;
+        let mut uniform = || {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut covered, mut scored) = (0u64, 0u64);
+        for id in 1..=2_400u64 {
+            let c = counts(1e9 * (1.0 + (id % 13) as f64));
+            let snapshot = hub.snapshot("skylake").unwrap();
+            let predicted = snapshot.predict(&c);
+            let sigma = snapshot.residual_std;
+            let (_, bound_t) = T_BOUND.get();
+            let t = exact_half_width(&snapshot) / sigma;
+            // Most labels are the truth plus 0.1% noise; one in sixteen
+            // is placed, in σ units of the current snapshot, just inside
+            // or outside an edge of the bracket or at the exact quantile.
+            // (Few enough that σ does not feed on its own outliers.)
+            let ratio = match id % 32 {
+                0 => Z_975 * (1.0 - BRACKET_MARGIN * (0.5 + uniform())),
+                1 => Z_975 * (1.0 - BRACKET_MARGIN * (uniform() - 0.5)),
+                2 if bound_t < 3.0 => bound_t * (1.0 + BRACKET_MARGIN * (0.5 + uniform())),
+                3 if bound_t < 3.0 => bound_t * (1.0 + BRACKET_MARGIN * (uniform() - 0.5)),
+                4 if t < 3.0 => t * (1.0 + 1e-15 * (uniform() - 0.5)),
+                5 if t < 3.0 => t,
+                _ => f64::NAN,
+            };
+            let sign = if uniform() < 0.5 { -1.0 } else { 1.0 };
+            let joules = if ratio.is_nan() {
+                (2.0 * c[0] + 0.5 * c[1]) * (1.0 + 1e-3 * (2.0 * uniform() - 1.0))
+            } else {
+                predicted + sign * ratio * sigma
+            };
+            let reference = (predicted - joules).abs() <= exact_half_width(&snapshot);
+            hub.push("s1", id, &c, Some(joules)).unwrap();
+            scored += 1;
+            covered += u64::from(reference);
+            let cal = &health.calibration()[0];
+            assert_eq!(cal.covered_samples, scored);
+            assert_eq!(
+                (cal.coverage * scored as f64).round() as u64,
+                covered,
+                "window {id}: ratio {ratio} against t {t}"
+            );
+            // POLL computes the next snapshot's half-width, which its
+            // calibration then reuses; polling only every fifth window
+            // leaves the rest to the bracket.
+            if id % 5 == 0 {
+                let polled = hub.poll("s1").unwrap();
+                let now = hub.snapshot("skylake").unwrap();
+                assert_eq!(polled.ci95, exact_half_width(&now), "window {id}");
+            }
+        }
+        assert!(
+            covered > 0 && covered < scored,
+            "both sides of the interval occur"
+        );
     }
 
     #[test]
